@@ -21,8 +21,7 @@ from .fingerprint import (FIXED_LEN, FIXED_PACKETS, Fingerprint,
                           save_fingerprints, segment_setup, to_fixed,
                           write_fixed_csv)
 from .harness import (CorpusNoise, EvaluationReport, SyntheticCorpusSpec,
-                      cross_validate, generate_corpus, shuffle_labels,
-                      timing_report)
+                      cross_validate, generate_corpus, shuffle_labels)
 from .identify import (IdentificationResult, IsolationAssignment, StageTimes,
                        VulnerabilityEntry, VulnerabilityRegistry,
                        assign_isolation, identify, identify_capture)
@@ -32,7 +31,7 @@ from .ingest import (FEATURE_NAMES, DecodedPacket, DestIpCounterState,
                      port_class, read_pcap, write_features_csv)
 from .macaddr import mac_to_str, normalize_mac
 from .typemodel import (ClassifierRegistry, DecisionTree, ForestParams,
-                        TypeClassifier, TypePrediction, load_model, predict,
+                        TypeClassifier, TypePrediction, load_model,
                         predict_all, save_model, train_registry,
                         train_type_classifier)
 

@@ -19,13 +19,14 @@ from __future__ import annotations
 
 import csv
 import hashlib
-import json
+import itertools
 from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Sequence
 
 from .errors import (CapacityExceeded, CorruptFile,
-                     RestrictedWithoutPermittedIps, SchemaMismatch)
+                     RestrictedWithoutPermittedIps)
+from .jsonfile import dump_versioned, load_versioned
 from .macaddr import normalize_mac
 
 RULES_SCHEMA = "iotfence-rules/1"
@@ -173,20 +174,28 @@ class RuleCache:
         return self._rules.get(normalize_mac(mac))
 
     def update(self, rule: EnforcementRule) -> None:
-        """Insert or replace the rule under each of its source MACs."""
-        for mac in rule.source_mac:
-            if mac in self._rules:
-                self._rules[mac] = rule
-                self._absent.pop(mac, None)
-                continue
-            if self._capacity is not None and len(self._rules) >= self._capacity:
-                if not self._absent:
+        """Insert or replace the rule under each of its source MACs.
+
+        New MACs that do not fit evict the longest-absent devices the rule
+        does not name; if too few are evictable, nothing changes.
+        """
+        macs = rule.source_mac
+        if self._capacity is not None:
+            overflow = len(self._rules) - self._capacity + len(
+                {mac for mac in macs if mac not in self._rules})
+            if overflow > 0:
+                victims = list(itertools.islice(
+                    (mac for mac in self._absent if mac not in macs), overflow))
+                if len(victims) < overflow:
                     raise CapacityExceeded(
-                        f"cache at capacity {self._capacity} with no absent devices")
-                evict = next(iter(self._absent))
-                del self._absent[evict]
-                del self._rules[evict]
+                        f"cache at capacity {self._capacity} with too few absent "
+                        f"devices for {len(macs)} MACs")
+                for mac in victims:
+                    del self._absent[mac]
+                    del self._rules[mac]
+        for mac in macs:
             self._rules[mac] = rule
+            self._absent.pop(mac, None)
 
     def remove(self, mac: str) -> None:
         mac = normalize_mac(mac)
@@ -226,40 +235,27 @@ def decide(flow: FlowKey, cache: RuleCache) -> Decision:
 
 
 def save_rules(rules: Sequence[EnforcementRule], path) -> None:
-    doc = {"schema": RULES_SCHEMA,
-           "rules": [r.to_json_dict() for r in rules]}
-    with open(path, "w") as fh:
-        json.dump(doc, fh, separators=(",", ":"), sort_keys=True)
+    dump_versioned(path, RULES_SCHEMA, {"rules": [r.to_json_dict() for r in rules]})
+
+
+def _parse_rules(doc: dict) -> list[EnforcementRule]:
+    out = []
+    for rec in doc["rules"]:
+        if set(rec) != set(RULE_FIELDS):
+            raise CorruptFile(
+                f"rule fields {sorted(rec)} do not match {sorted(RULE_FIELDS)}")
+        out.append(EnforcementRule(
+            id=int(rec["id"]), name=rec["name"],
+            source_mac=tuple(rec["source_mac"]),
+            permitted_ip=tuple(rec["permitted_ip"]),
+            priority=int(rec["priority"]), hash=rec["hash"],
+            level=IsolationLevel(rec["isolation"])))
+    return out
 
 
 def load_rules(path) -> list[EnforcementRule]:
     """Read a rule file; any deviation from the exact field set is corrupt."""
-    try:
-        with open(path) as fh:
-            doc = json.load(fh)
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
-        raise CorruptFile(f"rule file is not valid JSON: {exc}") from exc
-    if not isinstance(doc, dict) or "schema" not in doc:
-        raise CorruptFile("rule file has no schema marker")
-    if doc["schema"] != RULES_SCHEMA:
-        raise SchemaMismatch(f"expected {RULES_SCHEMA}, found {doc['schema']!r}")
-    out = []
-    try:
-        for rec in doc["rules"]:
-            if set(rec) != set(RULE_FIELDS):
-                raise CorruptFile(
-                    f"rule fields {sorted(rec)} do not match {sorted(RULE_FIELDS)}")
-            out.append(EnforcementRule(
-                id=int(rec["id"]), name=rec["name"],
-                source_mac=tuple(rec["source_mac"]),
-                permitted_ip=tuple(rec["permitted_ip"]),
-                priority=int(rec["priority"]), hash=rec["hash"],
-                level=IsolationLevel(rec["isolation"])))
-    except CorruptFile:
-        raise
-    except (KeyError, TypeError, ValueError) as exc:
-        raise CorruptFile(f"rule record malformed: {exc}") from exc
-    return out
+    return load_versioned(path, RULES_SCHEMA, "rule file", _parse_rules)
 
 
 def load_flows_csv(path) -> list[FlowKey]:

@@ -8,13 +8,13 @@ exactly 276 numbers, which is what the classifiers consume.
 
 from __future__ import annotations
 
-import json
 from collections import deque
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .errors import CorruptFile, EmptyInput, EmptySession, SchemaMismatch
+from .errors import EmptyInput, EmptySession
 from .ingest import FEATURE_NAMES, PacketFeatures, TimedFeatures
+from .jsonfile import dump_versioned, load_versioned
 
 FIXED_PACKETS = 12
 VECTOR_LEN = len(FEATURE_NAMES)
@@ -154,30 +154,19 @@ def save_fingerprints(db: Sequence[Fingerprint], path) -> None:
         if fp.label is not None:
             rec["label"] = fp.label
         records.append(rec)
-    doc = {"schema": DB_SCHEMA, "fingerprints": records}
-    with open(path, "w") as fh:
-        json.dump(doc, fh, separators=(",", ":"), sort_keys=True)
+    dump_versioned(path, DB_SCHEMA, {"fingerprints": records})
+
+
+def _parse_fingerprints(doc: dict) -> list[Fingerprint]:
+    return [Fingerprint(device_mac=rec["mac"],
+                        columns=tuple(PacketFeatures.from_values(col)
+                                      for col in rec["columns"]),
+                        label=rec.get("label"))
+            for rec in doc["fingerprints"]]
 
 
 def load_fingerprints(path) -> list[Fingerprint]:
-    try:
-        with open(path) as fh:
-            doc = json.load(fh)
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
-        raise CorruptFile(f"fingerprint db is not valid JSON: {exc}") from exc
-    if not isinstance(doc, dict) or "schema" not in doc:
-        raise CorruptFile("fingerprint db has no schema marker")
-    if doc["schema"] != DB_SCHEMA:
-        raise SchemaMismatch(f"expected {DB_SCHEMA}, found {doc['schema']!r}")
-    out: list[Fingerprint] = []
-    try:
-        for rec in doc["fingerprints"]:
-            cols = tuple(PacketFeatures.from_values(col) for col in rec["columns"])
-            out.append(Fingerprint(device_mac=rec["mac"], columns=cols,
-                                   label=rec.get("label")))
-    except (KeyError, TypeError, ValueError) as exc:
-        raise CorruptFile(f"fingerprint db record malformed: {exc}") from exc
-    return out
+    return load_versioned(path, DB_SCHEMA, "fingerprint db", _parse_fingerprints)
 
 
 def write_fixed_csv(db: Sequence[Fingerprint], path) -> None:

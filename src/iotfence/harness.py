@@ -25,19 +25,16 @@ from __future__ import annotations
 
 import dataclasses
 import json
-import statistics
-import time
 from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
 
-from .discriminate import MAX_REFERENCES, discriminate, select_references
+from .discriminate import MAX_REFERENCES
 from .fingerprint import Fingerprint, build_fingerprint, to_fixed
 from .identify import identify
 from .ingest import FEATURE_NAMES, PacketFeatures
-from .typemodel import (ClassifierRegistry, ForestParams, MATCH_THRESHOLD,
-                        train_type_classifier)
+from .typemodel import ForestParams, fit_registry
 
 # name, protocol flags, has an IP destination, frame size range, has payload
 _TEMPLATES = (
@@ -311,8 +308,8 @@ def cross_validate(db: Sequence[Fingerprint], folds: int = 10,
     confusion = np.zeros((n_types, n_types + 1), dtype=np.int64)
     n_multi = 0
     n_ident = 0
-    classify_ns = 0
-    discriminate_ns = 0
+    classify_ms = 0.0
+    discriminate_ms = 0.0
 
     for repeat_ss in np.random.SeedSequence(seed).spawn(repeats):
         fold_ss, train_ss, ref_ss = repeat_ss.spawn(3)
@@ -329,42 +326,23 @@ def cross_validate(db: Sequence[Fingerprint], folds: int = 10,
             test_idx = np.nonzero(fold_of == f)[0]
             if test_idx.size == 0:
                 continue
-            train_mask = fold_of != f
-            train_fps = [db[i] for i in np.nonzero(train_mask)[0]]
-            clf_seeds = train_children[f].spawn(n_types)
-            classifiers = []
-            for ti, t in enumerate(types):
-                pos_rows = np.nonzero(train_mask & (y == ti))[0]
-                neg_rows = np.nonzero(train_mask & (y != ti))[0]
-                seed_int = int(clf_seeds[ti].generate_state(1, np.uint64)[0])
-                classifiers.append(train_type_classifier(
-                    t, X[pos_rows], X[neg_rows], params, seed=seed_int))
-
-            t0 = time.perf_counter_ns()
-            scores = np.column_stack(
-                [clf.score_many(X[test_idx]) for clf in classifiers])
-            classify_ns += time.perf_counter_ns() - t0
+            train_rows = np.nonzero(fold_of != f)[0]
+            train_fps = [db[i] for i in train_rows]
+            registry = fit_registry(X[train_rows], y[train_rows], types, params,
+                                    train_children[f])
             ref_rng = np.random.default_rng(ref_children[f])
-
-            for row, g in enumerate(test_idx):
+            for g in test_idx:
+                result = identify(db[g], registry, train_fps,
+                                  refs_per_type=refs_per_type, rng=ref_rng)
                 n_ident += 1
-                matched = np.nonzero(scores[row] >= MATCH_THRESHOLD)[0]
-                if matched.size == 0:
-                    confusion[y[g], n_types] += 1
-                    continue
-                if matched.size == 1:
-                    pred = int(matched[0])
-                else:
-                    n_multi += 1
-                    t1 = time.perf_counter_ns()
-                    candidates = [
-                        (types[m], select_references(train_fps, types[m],
-                                                     k=refs_per_type, rng=ref_rng))
-                        for m in matched
-                    ]
-                    pred = type_idx[discriminate(db[g], candidates)]
-                    discriminate_ns += time.perf_counter_ns() - t1
+                n_multi += result.discrimination_used
+                classify_ms += result.times.classify_ms
+                discriminate_ms += result.times.discriminate_ms
+                pred = (n_types if result.is_unknown
+                        else type_idx[result.device_type])
                 confusion[y[g], pred] += 1
+            # free this fold's forests before the next fold grows its own
+            del registry
 
     row_totals = confusion.sum(axis=1)
     per_type = {
@@ -373,8 +351,8 @@ def cross_validate(db: Sequence[Fingerprint], folds: int = 10,
     }
     total = int(confusion.sum())
     timing = {
-        "classify_ms_total": round(classify_ns / 1e6, 3),
-        "discriminate_ms_total": round(discriminate_ns / 1e6, 3),
+        "classify_ms_total": round(classify_ms, 3),
+        "discriminate_ms_total": round(discriminate_ms, 3),
         "identifications": n_ident,
     }
     return EvaluationReport(
@@ -386,45 +364,3 @@ def cross_validate(db: Sequence[Fingerprint], folds: int = 10,
         multi_match_rate=(n_multi / n_ident if n_ident else 0.0),
         folds=folds, repeats=repeats, seed=seed, refs_per_type=refs_per_type,
         n_fingerprints=len(db), n_trees=params.n_trees, timing=timing)
-
-
-def _stats(xs: list[float]) -> dict:
-    if not xs:
-        return {"count": 0}
-    return {"count": len(xs),
-            "mean": round(statistics.fmean(xs), 3),
-            "stdev": round(statistics.pstdev(xs), 3)}
-
-
-def timing_report(db: Sequence[Fingerprint], registry: ClassifierRegistry,
-                  refs_per_type: int = MAX_REFERENCES,
-                  rng: np.random.Generator | None = None) -> dict:
-    """Per-stage wall-clock statistics over every fingerprint in the store.
-
-    Extraction here covers duplicate collapsing and flattening; capture
-    decoding is upstream of fingerprints and not included.
-    """
-    if not db:
-        return {"n": 0}
-    extract_ms: list[float] = []
-    classify_ms: list[float] = []
-    total_ms: list[float] = []
-    disc_ms: list[float] = []
-    for fp in db:
-        t0 = time.perf_counter_ns()
-        rebuilt = build_fingerprint(fp.device_mac, fp.columns, label=fp.label)
-        to_fixed(rebuilt)
-        extract_ms.append((time.perf_counter_ns() - t0) / 1e6)
-        result = identify(fp, registry, db, refs_per_type=refs_per_type, rng=rng)
-        classify_ms.append(result.times.classify_ms)
-        total_ms.append(result.times.total_ms)
-        if result.discrimination_used:
-            disc_ms.append(result.times.discriminate_ms)
-    return {
-        "n": len(db),
-        "multi_match_rate": len(disc_ms) / len(db),
-        "fingerprint_extraction_ms": _stats(extract_ms),
-        "classification_ms": _stats(classify_ms),
-        "discrimination_ms": _stats(disc_ms),
-        "identification_ms": _stats(total_ms),
-    }

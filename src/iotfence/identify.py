@@ -10,7 +10,6 @@ known about the device.
 
 from __future__ import annotations
 
-import json
 import time
 from dataclasses import dataclass
 from typing import Sequence
@@ -19,10 +18,11 @@ import numpy as np
 
 from .discriminate import MAX_REFERENCES, discriminate, select_references
 from .enforce import IsolationLevel
-from .errors import CorruptFile, RestrictedWithoutPermittedIps, SchemaMismatch
+from .errors import RestrictedWithoutPermittedIps
 from .fingerprint import (Fingerprint, SetupSessionConfig, build_fingerprint,
                           segment_setup, to_fixed)
 from .ingest import extract_sessions, read_pcap
+from .jsonfile import dump_versioned, load_versioned
 from .typemodel import ClassifierRegistry, TypePrediction, predict_all
 
 VULNS_SCHEMA = "iotfence-vulns/1"
@@ -151,37 +151,20 @@ class VulnerabilityRegistry:
         return sorted(self._entries)
 
     def save(self, path) -> None:
-        doc = {
-            "schema": VULNS_SCHEMA,
-            "types": {
-                t: {"isolation": e.level.value, "permitted_ip": list(e.permitted_ip)}
-                for t, e in self._entries.items()
-            },
-        }
-        with open(path, "w") as fh:
-            json.dump(doc, fh, separators=(",", ":"), sort_keys=True)
+        dump_versioned(path, VULNS_SCHEMA, {"types": {
+            t: {"isolation": e.level.value, "permitted_ip": list(e.permitted_ip)}
+            for t, e in self._entries.items()
+        }})
 
     @classmethod
     def load(cls, path) -> "VulnerabilityRegistry":
-        try:
-            with open(path) as fh:
-                doc = json.load(fh)
-        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
-            raise CorruptFile(f"vulnerability registry is not valid JSON: {exc}") from exc
-        if not isinstance(doc, dict) or "schema" not in doc:
-            raise CorruptFile("vulnerability registry has no schema marker")
-        if doc["schema"] != VULNS_SCHEMA:
-            raise SchemaMismatch(f"expected {VULNS_SCHEMA}, found {doc['schema']!r}")
-        try:
-            entries = {
+        def parse(doc: dict) -> "VulnerabilityRegistry":
+            return cls({
                 t: VulnerabilityEntry(level=IsolationLevel(rec["isolation"]),
                                       permitted_ip=tuple(rec["permitted_ip"]))
                 for t, rec in doc["types"].items()
-            }
-        except (KeyError, TypeError, ValueError,
-                RestrictedWithoutPermittedIps) as exc:
-            raise CorruptFile(f"vulnerability entry malformed: {exc}") from exc
-        return cls(entries)
+            })
+        return load_versioned(path, VULNS_SCHEMA, "vulnerability registry", parse)
 
 
 @dataclass(frozen=True)

@@ -134,13 +134,10 @@ class RawFrame:
     ts_sec: int
     ts_usec: int
     data: bytes
-    link_type: str = "ethernet"
 
     def __post_init__(self):
         if not 0 <= self.ts_usec <= 999_999:
             raise ValueError(f"ts_usec out of range: {self.ts_usec}")
-        if self.link_type != "ethernet":
-            raise ValueError(f"unsupported link type: {self.link_type}")
 
     @property
     def timestamp(self) -> float:
@@ -152,7 +149,6 @@ class DecodedPacket:
     """Protocol facts pulled out of one frame, before vectorization."""
 
     src_mac: str
-    dst_mac: str
     frame_len: int
     arp: bool = False
     llc: bool = False
@@ -336,7 +332,6 @@ def decode_frame(frame: RawFrame) -> DecodedPacket:
 
     out: dict = {
         "src_mac": mac_to_str(data[6:12]),
-        "dst_mac": mac_to_str(data[0:6]),
         "frame_len": len(data),
     }
     ethertype = _u16(data, 12)

@@ -12,16 +12,16 @@ data yields bit-identical model files.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import (CorruptFile, DimensionMismatch, EmptyRegistry,
-                     InsufficientData, VersionMismatch)
+from .errors import (DimensionMismatch, EmptyRegistry, InsufficientData,
+                     VersionMismatch)
 from .fingerprint import Fingerprint, FixedFingerprint, to_fixed
+from .jsonfile import dump_versioned, load_versioned
 
 MODEL_SCHEMA = "iotfence-typemodel/1"
 MATCH_THRESHOLD = 0.5
@@ -56,11 +56,12 @@ class DecisionTree:
     """One CART tree stored as parallel node arrays.
 
     feature[i] is -1 for leaves; leaf_class[i] is -1 for internal nodes;
-    votes[i] carries the bootstrap sample count that reached a leaf.
+    votes[i] carries the bootstrap sample count that reached a leaf.  Node 0
+    is the root, and every internal node's children come after it, so every
+    walk from the root ends at a leaf within len(feature) steps.
     """
 
-    __slots__ = ("feature", "threshold", "left", "right", "leaf_class", "votes",
-                 "_lists")
+    __slots__ = ("feature", "threshold", "left", "right", "leaf_class", "votes")
 
     def __init__(self, feature, threshold, left, right, leaf_class, votes):
         self.feature = np.asarray(feature, dtype=np.int64)
@@ -69,36 +70,18 @@ class DecisionTree:
         self.right = np.asarray(right, dtype=np.int64)
         self.leaf_class = np.asarray(leaf_class, dtype=np.int64)
         self.votes = np.asarray(votes, dtype=np.int64)
-        self._lists = None
         n = len(self.feature)
-        if not all(len(a) == n for a in (self.threshold, self.left, self.right,
-                                         self.leaf_class, self.votes)):
-            raise ValueError("tree arrays must have equal length")
-
-    def predict_many(self, X: np.ndarray) -> np.ndarray:
-        """Class (0/1) per row, all rows walked down the tree in lockstep."""
-        node = np.zeros(X.shape[0], dtype=np.int64)
-        while True:
-            active = np.nonzero(self.feature[node] >= 0)[0]
-            if active.size == 0:
-                return self.leaf_class[node]
-            cur = node[active]
-            go_left = X[active, self.feature[cur]] <= self.threshold[cur]
-            node[active] = np.where(go_left, self.left[cur], self.right[cur])
-
-    def predict_one(self, values) -> int:
-        """Single-row walk in plain Python; beats array dispatch overhead."""
-        if self._lists is None:
-            self._lists = (self.feature.tolist(), self.threshold.tolist(),
-                           self.left.tolist(), self.right.tolist(),
-                           self.leaf_class.tolist())
-        feat, thr, lft, rgt, leaf = self._lists
-        node = 0
-        f = feat[0]
-        while f >= 0:
-            node = lft[node] if values[f] <= thr[node] else rgt[node]
-            f = feat[node]
-        return leaf[node]
+        if n == 0 or not all(len(a) == n for a in (
+                self.threshold, self.left, self.right, self.leaf_class, self.votes)):
+            raise ValueError("tree arrays must be non-empty and of equal length")
+        # trees are small: a plain loop beats a dozen array calls here
+        for i, (feat, lo, hi, cls) in enumerate(zip(
+                self.feature.tolist(), self.left.tolist(), self.right.tolist(),
+                self.leaf_class.tolist())):
+            if feat >= 0 and not (i < lo < n and i < hi < n):
+                raise ValueError(f"node {i}: children must come after it")
+            if feat < 0 and cls not in (0, 1):
+                raise ValueError(f"leaf {i}: class must be 0 or 1")
 
     def to_dict(self) -> dict:
         return {
@@ -190,6 +173,52 @@ def _grow_tree(X: np.ndarray, y: np.ndarray, rng: np.random.Generator,
     return DecisionTree(feature, threshold, left, right, leaf_class, votes)
 
 
+class _PackedForests:
+    """Every tree of a list of classifiers in one set of flat node arrays.
+
+    Node ids are global; leaves point to themselves, so walking every tree
+    for as many steps as the deepest one has levels leaves each row at a
+    leaf of each tree.  Trees are stored classifier by classifier, and
+    starts holds the first tree of each.
+    """
+
+    def __init__(self, classifiers: Sequence[TypeClassifier]):
+        trees = [tree for clf in classifiers for tree in clf.trees]
+        sizes = np.array([len(tree.feature) for tree in trees])
+        self.roots = np.concatenate(([0], np.cumsum(sizes)[:-1]))
+        self.starts = np.cumsum([0] + [clf.n_trees for clf in classifiers[:-1]])
+        self.widths = {clf.n_features for clf in classifiers}
+        feature = np.concatenate([tree.feature for tree in trees])
+        internal = feature >= 0
+        node = np.arange(len(feature))
+        offset = np.repeat(self.roots, sizes)
+        self.feature = np.where(internal, feature, 0)
+        self.threshold = np.concatenate([tree.threshold for tree in trees])
+        self.left, self.right = (
+            np.where(internal, np.concatenate(child) + offset, node)
+            for child in ([t.left for t in trees], [t.right for t in trees]))
+        self.leaf_class = np.concatenate([tree.leaf_class for tree in trees])
+        self.depth = 0
+        level = self.roots[internal[self.roots]]
+        while level.size:
+            self.depth += 1
+            level = np.concatenate((self.left[level], self.right[level]))
+            level = level[internal[level]]
+
+    def votes(self, X: np.ndarray) -> np.ndarray:
+        """Match votes per row of X (rows) and classifier (columns)."""
+        if X.ndim != 2 or self.widths != {X.shape[1]}:
+            raise DimensionMismatch(
+                f"classifiers expect {sorted(self.widths)} features, "
+                f"got shape {X.shape}")
+        rows = np.arange(X.shape[0])[:, None]
+        node = np.broadcast_to(self.roots, (X.shape[0], len(self.roots)))
+        for _ in range(self.depth):
+            go_left = X[rows, self.feature[node]] <= self.threshold[node]
+            node = np.where(go_left, self.left[node], self.right[node])
+        return np.add.reduceat(self.leaf_class[node], self.starts, axis=1)
+
+
 @dataclass
 class TypeClassifier:
     """A trained one-vs-rest forest for a single device type."""
@@ -199,26 +228,20 @@ class TypeClassifier:
     n_features: int
     training_meta: dict = field(default_factory=dict)
 
+    def __post_init__(self):
+        if not self.trees:
+            raise ValueError(f"{self.device_type!r}: a forest needs a tree")
+        if any(tree.feature.max() >= self.n_features for tree in self.trees):
+            raise ValueError(f"{self.device_type!r}: a split feature is outside "
+                             f"the {self.n_features} inputs")
+
     @property
     def n_trees(self) -> int:
         return len(self.trees)
 
     def score_many(self, X: np.ndarray) -> np.ndarray:
         """Fraction of trees voting match, per row of X."""
-        if X.shape[1] != self.n_features:
-            raise DimensionMismatch(
-                f"classifier expects {self.n_features} features, got {X.shape[1]}")
-        total = np.zeros(X.shape[0], dtype=np.int64)
-        for tree in self.trees:
-            total += tree.predict_many(X)
-        return total / self.n_trees
-
-    def score_one(self, values: Sequence[float]) -> float:
-        """Fraction of trees voting match for one flattened fingerprint."""
-        if len(values) != self.n_features:
-            raise DimensionMismatch(
-                f"classifier expects {self.n_features} features, got {len(values)}")
-        return sum(tree.predict_one(values) for tree in self.trees) / self.n_trees
+        return _PackedForests([self]).votes(X)[:, 0] / self.n_trees
 
 
 @dataclass(frozen=True)
@@ -226,15 +249,6 @@ class TypePrediction:
     device_type: str
     match: bool
     score: float
-
-
-def _as_values(x) -> Sequence[float]:
-    if isinstance(x, FixedFingerprint):
-        return x.values
-    arr = np.asarray(x)
-    if arr.ndim != 1:
-        raise DimensionMismatch(f"expected one fingerprint, got ndim={arr.ndim}")
-    return arr.tolist()
 
 
 def train_type_classifier(device_type: str,
@@ -272,6 +286,21 @@ def train_type_classifier(device_type: str,
                           n_features=pos.shape[1], training_meta=meta)
 
 
+def fit_registry(X: np.ndarray, y: np.ndarray, types: Sequence[str],
+                 params: ForestParams,
+                 seeds: np.random.SeedSequence) -> ClassifierRegistry:
+    """One classifier per type: rows with y == i against all other rows.
+
+    Type i trains with a seed drawn from the i-th child of seeds.
+    """
+    registry = ClassifierRegistry()
+    for i, (t, child) in enumerate(zip(types, seeds.spawn(len(types)))):
+        seed_int = int(child.generate_state(1, np.uint64)[0])
+        registry.add(train_type_classifier(t, X[y == i], X[y != i],
+                                           params, seed=seed_int))
+    return registry
+
+
 def train_registry(db: Sequence[Fingerprint], params: ForestParams = ForestParams(),
                    seed: int = 0) -> ClassifierRegistry:
     """Train one classifier per label in a fingerprint store.
@@ -288,33 +317,24 @@ def train_registry(db: Sequence[Fingerprint], params: ForestParams = ForestParam
     type_idx = {t: i for i, t in enumerate(types)}
     X = np.array([to_fixed(fp).values for fp in labeled], dtype=np.float64)
     y = np.array([type_idx[fp.label] for fp in labeled], dtype=np.int64)
-
-    seeds = np.random.SeedSequence(seed).spawn(len(types))
-    registry = ClassifierRegistry()
-    for i, t in enumerate(types):
-        seed_int = int(seeds[i].generate_state(1, np.uint64)[0])
-        registry.add(train_type_classifier(t, X[y == i], X[y != i],
-                                           params, seed=seed_int))
-    return registry
-
-
-def predict(clf: TypeClassifier, x) -> TypePrediction:
-    """Score one fingerprint; ties at the threshold count as a match."""
-    score = clf.score_one(_as_values(x))
-    return TypePrediction(device_type=clf.device_type,
-                          match=score >= MATCH_THRESHOLD, score=score)
+    return fit_registry(X, y, types, params, np.random.SeedSequence(seed))
 
 
 class ClassifierRegistry:
-    """All per-type classifiers, keyed and iterated by type id."""
+    """All per-type classifiers, keyed and iterated by type id.
+
+    The forests are packed for scoring on first use; add drops the packing.
+    """
 
     def __init__(self, classifiers: Iterable[TypeClassifier] = ()):
         self._by_type: dict[str, TypeClassifier] = {}
+        self._packed: _PackedForests | None = None
         for clf in classifiers:
             self.add(clf)
 
     def add(self, clf: TypeClassifier) -> None:
         self._by_type[clf.device_type] = clf
+        self._packed = None
 
     def get(self, device_type: str) -> TypeClassifier | None:
         return self._by_type.get(device_type)
@@ -331,15 +351,26 @@ class ClassifierRegistry:
     def __iter__(self):
         return iter(self._by_type[t] for t in self.types())
 
+    def votes(self, X: np.ndarray) -> np.ndarray:
+        """Match votes per row of X and classifier, in type-id order."""
+        if self._packed is None:
+            self._packed = _PackedForests(list(self))
+        return self._packed.votes(X)
+
 
 def predict_all(registry: ClassifierRegistry, x) -> list[TypePrediction]:
-    """Run every classifier on one fingerprint, ordered by type id."""
+    """Run every classifier on one fingerprint, ordered by type id.
+
+    A score is the fraction of a forest's trees voting match; ties at the
+    threshold count as a match.
+    """
     if len(registry) == 0:
         raise EmptyRegistry("no classifiers registered")
-    values = _as_values(x)
+    X = np.array([x.values if isinstance(x, FixedFingerprint) else x],
+                 dtype=np.float64)
     out = []
-    for clf in registry:
-        score = clf.score_one(values)
+    for clf, votes in zip(registry, registry.votes(X)[0].tolist()):
+        score = votes / clf.n_trees
         out.append(TypePrediction(device_type=clf.device_type,
                                   match=score >= MATCH_THRESHOLD, score=score))
     return out
@@ -347,40 +378,26 @@ def predict_all(registry: ClassifierRegistry, x) -> list[TypePrediction]:
 
 def save_model(registry: ClassifierRegistry, path) -> None:
     """Write every classifier, trees included, as versioned JSON."""
-    doc = {
-        "schema": MODEL_SCHEMA,
-        "classifiers": [
-            {
-                "device_type": clf.device_type,
-                "n_features": clf.n_features,
-                "training_meta": clf.training_meta,
-                "trees": [tree.to_dict() for tree in clf.trees],
-            }
-            for clf in registry
-        ],
-    }
-    with open(path, "w") as fh:
-        json.dump(doc, fh, separators=(",", ":"), sort_keys=True)
+    dump_versioned(path, MODEL_SCHEMA, {"classifiers": [
+        {
+            "device_type": clf.device_type,
+            "n_features": clf.n_features,
+            "training_meta": clf.training_meta,
+            "trees": [tree.to_dict() for tree in clf.trees],
+        }
+        for clf in registry
+    ]})
+
+
+def _parse_model(doc: dict) -> ClassifierRegistry:
+    return ClassifierRegistry(
+        TypeClassifier(device_type=rec["device_type"],
+                       trees=[DecisionTree.from_dict(t) for t in rec["trees"]],
+                       n_features=int(rec["n_features"]),
+                       training_meta=rec.get("training_meta", {}))
+        for rec in doc["classifiers"])
 
 
 def load_model(path) -> ClassifierRegistry:
-    try:
-        with open(path) as fh:
-            doc = json.load(fh)
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
-        raise CorruptFile(f"model file is not valid JSON: {exc}") from exc
-    if not isinstance(doc, dict) or "schema" not in doc:
-        raise CorruptFile("model file has no schema marker")
-    if doc["schema"] != MODEL_SCHEMA:
-        raise VersionMismatch(f"expected {MODEL_SCHEMA}, found {doc['schema']!r}")
-    registry = ClassifierRegistry()
-    try:
-        for rec in doc["classifiers"]:
-            trees = [DecisionTree.from_dict(t) for t in rec["trees"]]
-            registry.add(TypeClassifier(
-                device_type=rec["device_type"], trees=trees,
-                n_features=int(rec["n_features"]),
-                training_meta=rec.get("training_meta", {})))
-    except (KeyError, TypeError, ValueError) as exc:
-        raise CorruptFile(f"model record malformed: {exc}") from exc
-    return registry
+    return load_versioned(path, MODEL_SCHEMA, "model file", _parse_model,
+                          mismatch=VersionMismatch)

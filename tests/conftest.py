@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
 
-from iotfence.fingerprint import Fingerprint, build_fingerprint
+from iotfence.fingerprint import FIXED_LEN, Fingerprint, build_fingerprint
 from iotfence.harness import CorpusNoise, SyntheticCorpusSpec, generate_corpus
 from iotfence.ingest import FEATURE_NAMES, PacketFeatures
-from iotfence.typemodel import ForestParams, train_registry
+from iotfence.typemodel import (ClassifierRegistry, DecisionTree, ForestParams,
+                                TypeClassifier, train_registry)
 
 
 def make_features(**overrides) -> PacketFeatures:
@@ -42,6 +43,43 @@ def random_fingerprint(rng: np.random.Generator, mac: str = "02-00-00-00-00-01",
     n = int(rng.integers(1, max_packets + 1))
     return build_fingerprint(mac, [random_features(rng) for _ in range(n)],
                              label=label)
+
+
+def random_tree(rng: np.random.Generator) -> DecisionTree:
+    feature, threshold, left, right, leaf_class, votes = [], [], [], [], [], []
+
+    def grow(depth: int) -> int:
+        idx = len(feature)
+        feature.append(-1)
+        threshold.append(0.0)
+        left.append(-1)
+        right.append(-1)
+        leaf_class.append(-1)
+        votes.append(0)
+        if depth >= 3 or rng.random() < 0.4:
+            leaf_class[idx] = int(rng.integers(0, 2))
+            votes[idx] = int(rng.integers(1, 40))
+        else:
+            feature[idx] = int(rng.integers(0, FIXED_LEN))
+            threshold[idx] = float(rng.random() * 8)
+            left[idx] = grow(depth + 1)
+            right[idx] = grow(depth + 1)
+        return idx
+
+    grow(0)
+    return DecisionTree(feature, threshold, left, right, leaf_class, votes)
+
+
+def random_registry(rng: np.random.Generator) -> ClassifierRegistry:
+    registry = ClassifierRegistry()
+    for t in range(int(rng.integers(1, 4))):
+        registry.add(TypeClassifier(
+            device_type=f"type{t:02d}",
+            trees=[random_tree(rng) for _ in range(int(rng.integers(1, 4)))],
+            n_features=FIXED_LEN,
+            training_meta={"seed": int(rng.integers(0, 999)),
+                           "n_positive": int(rng.integers(2, 30))}))
+    return registry
 
 
 # 12 types keeps every one-vs-rest negative pool at the required ten

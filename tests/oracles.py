@@ -2,8 +2,10 @@
 
 Nothing in here imports from iotfence: the decoder is a second opinion
 written in a deliberately flat unpack-at-offset style, the pcap writer is the
-counterpart of the package's reader, and the edit-distance oracle is the
-textbook recursion with memoization instead of a DP table.
+counterpart of the package's reader, the edit-distance oracle is the
+textbook recursion with memoization instead of a DP table, the tree walk
+recurses over one tree at a time instead of walking packed arrays, and the
+rule cache is a plain dict plus a list.
 """
 
 import struct
@@ -240,3 +242,60 @@ def dl_oracle(a, b, memo: dict | None = None) -> int:
         return best
 
     return rec(tuple(a), tuple(b))
+
+
+# tree-walk oracle -------------------------------------------------------------
+
+def ref_tree_class(tree: dict, row, node: int = 0) -> int:
+    """Class of the leaf one row reaches, walking a tree dict recursively;
+    a value equal to the threshold goes left."""
+    feat = tree["feature"][node]
+    if feat < 0:
+        return tree["leaf_class"][node]
+    child = tree["left"] if row[feat] <= tree["threshold"][node] else tree["right"]
+    return ref_tree_class(tree, row, child[node])
+
+
+def ref_forest_score(trees: list, row) -> float:
+    """Fraction of trees (dicts of node lists) whose leaf class is 1."""
+    return sum(ref_tree_class(t, row) for t in trees) / len(trees)
+
+
+# rule-cache model ---------------------------------------------------------------
+
+class RefRuleCache:
+    """Dict model of a rule cache keyed by MAC, with an optional capacity.
+
+    An update either fits, evicting the devices marked absent longest ago
+    that the rule does not name, or is refused and changes nothing.
+    """
+
+    def __init__(self, capacity=None):
+        self.capacity = capacity
+        self.rules = {}
+        self.absent = []  # oldest first
+
+    def update(self, macs, rule) -> bool:
+        macs = list(dict.fromkeys(macs))
+        need = len(self.rules) + len([m for m in macs if m not in self.rules])
+        evictable = [m for m in self.absent if m not in macs]
+        if self.capacity is not None:
+            overflow = need - self.capacity
+            if overflow > len(evictable):
+                return False
+            for m in evictable[:max(overflow, 0)]:
+                self.remove(m)
+        for m in macs:
+            self.rules[m] = rule
+            if m in self.absent:
+                self.absent.remove(m)
+        return True
+
+    def remove(self, mac) -> None:
+        self.rules.pop(mac, None)
+        if mac in self.absent:
+            self.absent.remove(mac)
+
+    def mark_absent(self, mac) -> None:
+        if mac in self.rules and mac not in self.absent:
+            self.absent.append(mac)

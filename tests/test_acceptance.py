@@ -24,11 +24,10 @@ from iotfence.fingerprint import (FIXED_LEN, load_fingerprints,
 from iotfence.harness import (CorpusNoise, SyntheticCorpusSpec, cross_validate,
                               generate_corpus, shuffle_labels)
 from iotfence.identify import VulnerabilityRegistry, assign_isolation, identify
-from iotfence.typemodel import (ClassifierRegistry, DecisionTree, ForestParams,
-                                TypeClassifier, load_model, save_model,
-                                train_registry)
+from iotfence.typemodel import (ClassifierRegistry, ForestParams, load_model,
+                                save_model, train_registry)
 
-from conftest import make_features, random_fingerprint
+from conftest import make_features, random_fingerprint, random_registry
 from oracles import dl_oracle
 
 
@@ -279,43 +278,6 @@ def test_criterion_09_evaluate_determinism(tmp_path):
            f"({len(outs[0])} bytes)")
 
 
-def _random_tree(rng: np.random.Generator) -> DecisionTree:
-    feature, threshold, left, right, leaf_class, votes = [], [], [], [], [], []
-
-    def grow(depth: int) -> int:
-        idx = len(feature)
-        feature.append(-1)
-        threshold.append(0.0)
-        left.append(-1)
-        right.append(-1)
-        leaf_class.append(-1)
-        votes.append(0)
-        if depth >= 3 or rng.random() < 0.4:
-            leaf_class[idx] = int(rng.integers(0, 2))
-            votes[idx] = int(rng.integers(1, 40))
-        else:
-            feature[idx] = int(rng.integers(0, FIXED_LEN))
-            threshold[idx] = float(rng.random() * 8)
-            left[idx] = grow(depth + 1)
-            right[idx] = grow(depth + 1)
-        return idx
-
-    grow(0)
-    return DecisionTree(feature, threshold, left, right, leaf_class, votes)
-
-
-def _random_registry(rng: np.random.Generator) -> ClassifierRegistry:
-    registry = ClassifierRegistry()
-    for t in range(int(rng.integers(1, 4))):
-        registry.add(TypeClassifier(
-            device_type=f"type{t:02d}",
-            trees=[_random_tree(rng) for _ in range(int(rng.integers(1, 4)))],
-            n_features=FIXED_LEN,
-            training_meta={"seed": int(rng.integers(0, 999)),
-                           "n_positive": int(rng.integers(2, 30))}))
-    return registry
-
-
 def _registries_equal(a: ClassifierRegistry, b: ClassifierRegistry) -> bool:
     if a.types() != b.types():
         return False
@@ -361,7 +323,7 @@ def test_criterion_10_serialization_round_trips(tmp_path):
 
     path = tmp_path / "model.json"
     for _ in range(100):
-        registry = _random_registry(rng)
+        registry = random_registry(rng)
         save_model(registry, path)
         failures += not _registries_equal(load_model(path), registry)
 

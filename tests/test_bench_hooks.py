@@ -1,0 +1,56 @@
+"""The benchmark's per-layer trace finds every function it wraps by name.
+
+bench/tracing.py replaces package functions and methods by name; a renamed
+or deleted one would otherwise only show up when a traced benchmark run
+fails.
+"""
+
+import sys
+from pathlib import Path
+
+import pytest
+
+BENCH = Path(__file__).resolve().parents[1] / "bench"
+
+
+def _package_state() -> dict:
+    from iotfence.enforce import RuleCache
+    from iotfence.typemodel import TypeClassifier
+    state = {(name, attr): value
+             for name, mod in list(sys.modules.items())
+             if name == "iotfence" or name.startswith("iotfence.")
+             for attr, value in vars(mod).items()}
+    for cls in (TypeClassifier, RuleCache):
+        state.update({(cls.__name__, attr): value
+                      for attr, value in vars(cls).items()})
+    return state
+
+
+@pytest.fixture
+def tracing(monkeypatch):
+    monkeypatch.syspath_prepend(str(BENCH))
+    import tracing
+    return tracing
+
+
+def test_trace_install_wraps_and_uninstall_restores(tracing):
+    before = _package_state()
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        during = _package_state()
+        wrapped = {key for key, value in before.items() if during[key] is not value}
+        for key in [("iotfence.typemodel", "predict_all"),
+                    ("iotfence.typemodel", "train_type_classifier"),
+                    ("iotfence.typemodel", "load_model"),
+                    ("iotfence.identify", "identify"),
+                    ("iotfence.harness", "identify"),
+                    ("iotfence.harness", "cross_validate"),
+                    ("TypeClassifier", "score_many"),
+                    ("RuleCache", "update")]:
+            assert key in wrapped
+    finally:
+        tracer.uninstall()
+    after = _package_state()
+    assert after.keys() == before.keys()
+    assert all(after[key] is before[key] for key in before)

@@ -249,6 +249,22 @@ def test_data_errors_exit_2(tmp_path, workdir):
                      "--out", str(tmp_path / "m.json")]) == 2
 
 
+@pytest.mark.parametrize("field,value", [("left", 0), ("feature", 999)])
+def test_identify_rejects_corrupt_model(workdir, tmp_path, capsys, field, value):
+    # a root that is its own child would loop forever; a split on input 999
+    # of 276 would index past the fingerprint
+    doc = json.loads((workdir / "model.json").read_text())
+    tree = next(t for t in doc["classifiers"][0]["trees"] if t["feature"][0] >= 0)
+    tree[field][0] = value
+    model = tmp_path / "model.json"
+    model.write_text(json.dumps(doc))
+    pcap = tmp_path / "new-device.pcap"
+    oracles.write_pcap(pcap, _dhcp_frames("02-AA-00-00-00-99", 50))
+    assert cli_main(["identify", "--pcap", str(pcap), "--model", str(model),
+                     "--fingerprints", str(workdir / "db.json")]) == 2
+    assert "model file record malformed" in capsys.readouterr().err
+
+
 def test_seed_env_variable(tmp_path, monkeypatch):
     by_env = tmp_path / "env.json"
     by_flag = tmp_path / "flag.json"

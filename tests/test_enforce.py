@@ -1,6 +1,7 @@
 """Rules, overlays, flow decisions, the cache, and rule persistence."""
 
 import json
+import random
 
 import pytest
 
@@ -11,6 +12,8 @@ from iotfence.enforce import (Decision, EnforcementRule, FlowKey,
                               simulate_flows)
 from iotfence.errors import (CapacityExceeded, CorruptFile,
                              RestrictedWithoutPermittedIps, SchemaMismatch)
+
+from oracles import RefRuleCache
 
 CAM = "02-00-00-00-00-01"
 HUB = "02-00-00-00-00-02"
@@ -186,6 +189,70 @@ def test_cache_multi_mac_rule_fills_slots():
     cache.update(make_rule((CAM, HUB), IsolationLevel.STRICT, rule_id=1))
     assert cache.lookup(CAM) is cache.lookup(HUB)
     assert len(cache) == 2
+
+
+def test_cache_refused_update_changes_nothing():
+    cache = RuleCache(capacity=2)
+    cache.update(make_rule(CAM, IsolationLevel.STRICT, rule_id=1))
+    with pytest.raises(CapacityExceeded):
+        cache.update(make_rule((HUB, TV), IsolationLevel.TRUSTED, rule_id=2))
+    assert cache.lookup(HUB) is None and cache.lookup(TV) is None
+    assert cache.macs() == [CAM]
+    assert not decide(FlowKey.to_internet(HUB, UNLISTED), cache).permit
+
+
+def test_cache_multi_mac_rule_keeps_its_own_absent_macs():
+    cache = RuleCache(capacity=2)
+    cache.update(make_rule(CAM, IsolationLevel.STRICT, rule_id=1))
+    cache.update(make_rule(HUB, IsolationLevel.STRICT, rule_id=2))
+    cache.mark_absent(CAM)
+    cache.mark_absent(HUB)
+    cache.update(make_rule((TV, CAM), IsolationLevel.TRUSTED, rule_id=3))
+    assert cache.macs() == [CAM, TV]  # HUB made room, CAM was re-installed
+    assert cache.lookup(CAM) is cache.lookup(TV)
+
+
+def _cache_state(cache: RuleCache) -> dict:
+    return {mac: cache.lookup(mac) for mac in cache.macs()}
+
+
+def test_cache_matches_dict_model_on_random_operations():
+    macs = [f"02-00-00-00-01-{i:02X}" for i in range(7)]
+    levels = list(IsolationLevel)
+    rng = random.Random(4)
+    refused = 0
+    for _ in range(150):
+        capacity = rng.choice([None, 1, 2, 3, 4])
+        cache, ref = RuleCache(capacity), RefRuleCache(capacity)
+        for step in range(40):
+            op = rng.random()
+            mac = rng.choice(macs)
+            if op < 0.5:
+                level = rng.choice(levels)
+                ips = (LISTED,) if level is IsolationLevel.RESTRICTED else ()
+                rule = make_rule(rng.sample(macs, rng.randint(1, 3)), level, ips,
+                                 rule_id=step)
+                before = _cache_state(cache)
+                if ref.update(rule.source_mac, rule):
+                    cache.update(rule)
+                else:
+                    refused += 1
+                    with pytest.raises(CapacityExceeded):
+                        cache.update(rule)
+                    assert _cache_state(cache) == before
+            elif op < 0.7:
+                cache.remove(mac)
+                ref.remove(mac)
+            else:
+                cache.mark_absent(mac)
+                ref.mark_absent(mac)
+            assert _cache_state(cache) == ref.rules
+            for other in macs:
+                if other not in ref.rules:
+                    flow = FlowKey.to_internet(other, LISTED)
+                    assert decide(flow, cache) == Decision(
+                        False, "no rule for source device", None)
+    assert refused > 50  # the sequences do reach a full cache
 
 
 def test_cache_capacity_validation():

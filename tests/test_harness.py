@@ -8,7 +8,7 @@ import pytest
 from iotfence.fingerprint import FIXED_LEN, to_fixed
 from iotfence.harness import (CorpusNoise, EvaluationReport,
                               SyntheticCorpusSpec, cross_validate,
-                              generate_corpus, shuffle_labels, timing_report)
+                              generate_corpus, shuffle_labels)
 
 
 def test_noise_validation():
@@ -141,13 +141,3 @@ def test_report_json_canonical_and_timing_optional(small_corpus):
                                           separators=(",", ":"))
     assert set(doc["config"]) == {"folds", "repeats", "seed", "refs_per_type",
                                   "n_fingerprints", "n_trees"}
-
-
-def test_timing_report(small_corpus, small_registry):
-    stats = timing_report(small_corpus[:10], small_registry)
-    assert stats["n"] == 10
-    assert stats["classification_ms"]["count"] == 10
-    assert stats["classification_ms"]["mean"] >= 0
-    assert stats["identification_ms"]["mean"] >= stats["classification_ms"]["mean"]
-    assert 0.0 <= stats["multi_match_rate"] <= 1.0
-    assert timing_report([], small_registry) == {"n": 0}

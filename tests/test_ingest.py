@@ -201,8 +201,6 @@ def test_dest_ip_counter_is_dense_first_seen():
 def test_raw_frame_validation():
     with pytest.raises(ValueError):
         RawFrame(0, 1_000_000, b"\x00" * 20)
-    with pytest.raises(ValueError):
-        RawFrame(0, 0, b"\x00" * 20, link_type="wifi")
     assert RawFrame(2, 500_000, b"\x00" * 20).timestamp == 2.5
 
 

@@ -1,4 +1,4 @@
-"""Forest training, prediction equivalence, determinism, persistence."""
+"""Forest training, the packed scoring walk, determinism, persistence."""
 
 import json
 
@@ -8,11 +8,15 @@ import pytest
 from iotfence.errors import (CorruptFile, DimensionMismatch, EmptyRegistry,
                              InsufficientData, VersionMismatch)
 from iotfence.fingerprint import FIXED_LEN, to_fixed
+from iotfence.harness import shuffle_labels
 from iotfence.typemodel import (ClassifierRegistry, DecisionTree, ForestParams,
                                 MATCH_THRESHOLD, NEGATIVES_PER_POSITIVE,
                                 TypeClassifier, fixed_matrix, load_model,
-                                predict, predict_all, save_model,
+                                predict_all, save_model,
                                 train_type_classifier, train_registry)
+
+import oracles
+from conftest import random_registry
 
 
 def _separable(rng, n_pos=6, n_pool=80, width=20, gap=10.0):
@@ -27,8 +31,8 @@ def test_forest_separates_clustered_data():
     pos, pool = _separable(rng)
     clf = train_type_classifier("cam", pos, pool,
                                 ForestParams(n_trees=25), seed=3)
-    assert clf.score_one(list(rng.normal(10.0, 0.5, size=20))) > 0.9
-    assert clf.score_one(list(rng.normal(0.0, 0.5, size=20))) < 0.1
+    assert clf.score_many(rng.normal(10.0, 0.5, size=(1, 20)))[0] > 0.9
+    assert clf.score_many(rng.normal(0.0, 0.5, size=(1, 20)))[0] < 0.1
     assert clf.n_trees == 25
     meta = clf.training_meta
     assert meta["n_negative"] == NEGATIVES_PER_POSITIVE * meta["n_positive"]
@@ -60,17 +64,76 @@ def test_training_data_requirements():
         train_type_classifier("cam", pos, pool[:, :19])
 
 
-def test_predict_many_agrees_with_predict_one():
+def _reference_scores(registry: ClassifierRegistry, X: np.ndarray) -> list:
+    """Per row, each classifier's score from the one-tree-at-a-time oracle."""
+    return [[oracles.ref_forest_score([t.to_dict() for t in clf.trees], list(row))
+             for clf in registry] for row in X]
+
+
+def _assert_packed_matches_reference(registry: ClassifierRegistry, X: np.ndarray):
+    expect = _reference_scores(registry, X)
+    for row, want in zip(X, expect):   # single rows, through predict_all
+        assert [p.score for p in predict_all(registry, row)] == want
+    batch = registry.votes(X)          # all rows at once
+    assert [[v / clf.n_trees for clf, v in zip(registry, votes)]
+            for votes in batch.tolist()] == expect
+    for i, clf in enumerate(registry):
+        assert clf.score_many(X).tolist() == [w[i] for w in expect]
+
+
+def test_batch_scores_agree_with_single_rows():
     rng = np.random.default_rng(17)
     pos, pool = _separable(rng, gap=3.0)
     clf = train_type_classifier("cam", pos, pool, ForestParams(n_trees=20), seed=8)
     X = rng.normal(1.5, 2.0, size=(40, 20))
-    batch = clf.score_many(X)
-    single = [clf.score_one(list(row)) for row in X]
-    assert batch.tolist() == single
-    for tree in clf.trees:
-        assert tree.predict_many(X).tolist() == \
-            [tree.predict_one(list(row)) for row in X]
+    _assert_packed_matches_reference(ClassifierRegistry([clf]), X)
+
+
+def test_packed_walk_matches_reference_on_hand_built_trees():
+    split = DecisionTree(feature=[0, -1, -1], threshold=[5.0, 0.0, 0.0],
+                         left=[1, -1, -1], right=[2, -1, -1],
+                         leaf_class=[-1, 0, 1], votes=[0, 3, 2])
+    # deeper on the right: x1 <= 2 -> 1, else x0 <= 1 -> 0, else 1
+    chain = DecisionTree(feature=[1, -1, 0, -1, -1],
+                         threshold=[2.0, 0.0, 1.0, 0.0, 0.0],
+                         left=[1, -1, 3, -1, -1], right=[2, -1, 4, -1, -1],
+                         leaf_class=[-1, 1, -1, 0, 1], votes=[0, 1, 0, 1, 1])
+    registry = ClassifierRegistry([
+        TypeClassifier("a", [split, chain, _stump(1)], n_features=2),
+        TypeClassifier("b", [_stump(0)], n_features=2),
+        TypeClassifier("c", [chain, chain], n_features=2)])
+    X = np.array([[5.0, 2.0], [5.1, 2.0], [4.0, 3.0], [1.0, 2.1],
+                  [1.1, 9.0], [-1.0, -1.0]])
+    _assert_packed_matches_reference(registry, X)
+    assert [p.score for p in predict_all(registry, [5.0, 2.0])] == [2 / 3, 0.0, 1.0]
+
+
+def test_packed_walk_matches_reference_on_random_trees():
+    rng = np.random.default_rng(10)
+    for _ in range(30):
+        registry = random_registry(rng)
+        X = rng.integers(0, 9, size=(7, FIXED_LEN)).astype(np.float64)
+        for clf in registry:  # put row 0 on split thresholds exactly
+            for tree in clf.trees:
+                split = tree.feature >= 0
+                X[0, tree.feature[split]] = tree.threshold[split]
+        _assert_packed_matches_reference(registry, X)
+
+
+def test_packed_walk_matches_reference_on_deep_trees(small_corpus):
+    shuffled = shuffle_labels(small_corpus, seed=3)
+    registry = train_registry(shuffled, ForestParams(n_trees=10), seed=5)
+    depth = max(_depth(t) for clf in registry for t in clf.trees)
+    assert depth >= 6  # label noise grows deep trees
+    X = np.array([to_fixed(fp).values for fp in small_corpus[::5]],
+                 dtype=np.float64)
+    _assert_packed_matches_reference(registry, X)
+
+
+def _depth(tree: DecisionTree, node: int = 0) -> int:
+    if tree.feature[node] < 0:
+        return 0
+    return 1 + max(_depth(tree, tree.left[node]), _depth(tree, tree.right[node]))
 
 
 def test_trees_grow_to_purity():
@@ -97,7 +160,7 @@ def _stump(label: int) -> DecisionTree:
 def test_threshold_tie_counts_as_match():
     clf = TypeClassifier(device_type="cam", trees=[_stump(1), _stump(0)],
                          n_features=4)
-    pred = predict(clf, [0.0, 0.0, 0.0, 0.0])
+    [pred] = predict_all(ClassifierRegistry([clf]), [0.0, 0.0, 0.0, 0.0])
     assert pred.score == MATCH_THRESHOLD
     assert pred.match is True
 
@@ -106,12 +169,46 @@ def test_hand_built_tree_walks_both_branches():
     tree = DecisionTree(feature=[0, -1, -1], threshold=[5.0, 0.0, 0.0],
                         left=[1, -1, -1], right=[2, -1, -1],
                         leaf_class=[-1, 0, 1], votes=[0, 3, 2])
-    assert tree.predict_one([5.0]) == 0   # boundary goes left
-    assert tree.predict_one([5.1]) == 1
-    assert tree.predict_many(np.array([[4.0], [6.0]])).tolist() == [0, 1]
+    clf = TypeClassifier(device_type="cam", trees=[tree], n_features=1)
+    assert clf.score_many(np.array([[5.0]])).tolist() == [0.0]  # boundary goes left
+    assert clf.score_many(np.array([[5.1]])).tolist() == [1.0]
+    assert clf.score_many(np.array([[4.0], [6.0]])).tolist() == [0.0, 1.0]
     with pytest.raises(ValueError):
         DecisionTree(feature=[0], threshold=[0.0], left=[1], right=[2],
                      leaf_class=[-1], votes=[0, 0])
+
+
+def test_malformed_trees_are_rejected():
+    good = dict(feature=[0, -1, -1], threshold=[5.0, 0.0, 0.0], left=[1, -1, -1],
+                right=[2, -1, -1], leaf_class=[-1, 0, 1], votes=[0, 3, 2])
+    DecisionTree(**good)
+    for field, value in [("left", [0, -1, -1]),     # root is its own child
+                         ("right", [0, -1, -1]),
+                         ("right", [3, -1, -1]),    # child outside the tree
+                         ("left", [-1, -1, -1]),
+                         ("leaf_class", [-1, 0, 2]),
+                         ("feature", [])]:
+        with pytest.raises(ValueError):
+            DecisionTree(**{**good, field: value})
+    with pytest.raises(ValueError):  # a split on an input the forest lacks
+        TypeClassifier("cam", [DecisionTree(**good)], n_features=0)
+    with pytest.raises(ValueError):
+        TypeClassifier("cam", [], n_features=1)
+
+
+def test_load_model_rejects_malformed_trees(tmp_path, small_registry):
+    path = tmp_path / "model.json"
+    save_model(small_registry, path)
+    good = json.loads(path.read_text())
+    tree = good["classifiers"][0]["trees"][0]
+    assert tree["feature"][0] >= 0
+    for field, value in [("left", 0), ("feature", 999), ("leaf_class", 2)]:
+        doc = json.loads(json.dumps(good))
+        node = 0 if field != "leaf_class" else tree["feature"].index(-1)
+        doc["classifiers"][0]["trees"][0][field][node] = value
+        path.write_text(json.dumps(doc))
+        with pytest.raises(CorruptFile):
+            load_model(path)
 
 
 def test_fixed_matrix_shapes():
@@ -126,9 +223,11 @@ def test_score_dimension_checks():
     pos, pool = _separable(rng)
     clf = train_type_classifier("cam", pos, pool, ForestParams(n_trees=5), seed=0)
     with pytest.raises(DimensionMismatch):
-        clf.score_one([0.0] * 19)
+        predict_all(ClassifierRegistry([clf]), [0.0] * 19)
     with pytest.raises(DimensionMismatch):
         clf.score_many(np.zeros((2, 19)))
+    with pytest.raises(DimensionMismatch):
+        predict_all(ClassifierRegistry([clf]), np.zeros((1, 20)))
 
 
 def test_registry_basics(small_corpus, small_registry):
@@ -150,6 +249,15 @@ def test_registry_identifies_training_fingerprints(small_corpus, small_registry)
         best = max(preds, key=lambda p: p.score)
         hits += best.device_type == fp.label and best.match
     assert hits >= len(small_corpus[::10]) - 1
+
+
+def test_registry_add_repacks():
+    registry = ClassifierRegistry([TypeClassifier("b", [_stump(1)], n_features=1)])
+    assert [p.score for p in predict_all(registry, [0.0])] == [1.0]
+    registry.add(TypeClassifier("a", [_stump(0)], n_features=1))
+    registry.add(TypeClassifier("b", [_stump(0), _stump(1)], n_features=1))
+    assert [(p.device_type, p.score) for p in predict_all(registry, [0.0])] == \
+        [("a", 0.0), ("b", 0.5)]
 
 
 def test_predict_all_requires_classifiers():
