@@ -28,35 +28,35 @@ def _symbols(x) -> Sequence[Hashable]:
 def dl_distance(a, b) -> int:
     """Edit distance with adjacent transpositions between two sequences.
 
-    Accepts fingerprints or any sequences of hashable symbols.  Symbols are
-    interned to small ints first so the inner loop compares ints, not
-    23-field vectors.
+    Accepts fingerprints or any sequences of hashable symbols.  Hyyrö's
+    bit-parallel restricted Damerau-Levenshtein (Nordic J. Computing 2003):
+    bit i of each Python int holds row i of the DP table's current column.
     """
-    codes: dict = {}
-    xs = [codes.setdefault(s, len(codes)) for s in _symbols(a)]
-    ys = [codes.setdefault(s, len(codes)) for s in _symbols(b)]
-    n, m = len(xs), len(ys)
-    if n == 0:
-        return m
-    if m == 0:
-        return n
-
-    prev2: list[int] = []
-    prev = list(range(m + 1))
-    for i in range(1, n + 1):
-        cur = [i] + [0] * m
-        xi = xs[i - 1]
-        for j in range(1, m + 1):
-            best = min(prev[j] + 1,                      # delete
-                       cur[j - 1] + 1,                   # insert
-                       prev[j - 1] + (xi != ys[j - 1]))  # substitute / match
-            if i > 1 and j > 1 and xi == ys[j - 2] and xs[i - 2] == ys[j - 1]:
-                swap = prev2[j - 2] + 1
-                if swap < best:
-                    best = swap
-            cur[j] = best
-        prev2, prev = prev, cur
-    return prev[m]
+    xs, ys = _symbols(a), _symbols(b)
+    n = len(xs)
+    if n == 0 or len(ys) == 0:
+        return max(n, len(ys))
+    match: dict = {}  # symbol -> bits of the rows where xs holds it
+    for i, s in enumerate(xs):
+        match[s] = match.get(s, 0) | (1 << i)
+    ones, top = (1 << n) - 1, 1 << (n - 1)
+    # vertical +1 and -1 deltas, zero diagonal deltas, previous match bits
+    vp, vn, d0, prev_pm, score = ones, 0, 0, 0, n
+    for s in ys:
+        pm = match.get(s, 0)
+        # transposition: xs[i-1] == ys[j], xs[i] == ys[j-1], and row i-1's
+        # diagonal delta in the previous column was 0
+        swap = (((~d0) & pm) << 1) & prev_pm
+        d0 = (((pm & vp) + vp) ^ vp) | pm | vn | swap
+        hp = vn | ~(d0 | vp)
+        hn = vp & d0
+        score += ((hp & top) != 0) - ((hn & top) != 0)
+        hp = (hp << 1) | 1  # row 0 of column j is j: always +1
+        hn <<= 1
+        vp = (hn | ~(d0 | hp)) & ones
+        vn = hp & d0 & ones
+        prev_pm = pm
+    return score
 
 
 def normalized_distance(a, b) -> float:

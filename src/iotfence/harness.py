@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import time
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -310,6 +311,7 @@ def cross_validate(db: Sequence[Fingerprint], folds: int = 10,
     n_ident = 0
     classify_ms = 0.0
     discriminate_ms = 0.0
+    train_ns = 0
 
     for repeat_ss in np.random.SeedSequence(seed).spawn(repeats):
         fold_ss, train_ss, ref_ss = repeat_ss.spawn(3)
@@ -328,8 +330,10 @@ def cross_validate(db: Sequence[Fingerprint], folds: int = 10,
                 continue
             train_rows = np.nonzero(fold_of != f)[0]
             train_fps = [db[i] for i in train_rows]
+            t_train = time.perf_counter_ns()
             registry = fit_registry(X[train_rows], y[train_rows], types, params,
                                     train_children[f])
+            train_ns += time.perf_counter_ns() - t_train
             ref_rng = np.random.default_rng(ref_children[f])
             for g in test_idx:
                 result = identify(db[g], registry, train_fps,
@@ -354,6 +358,7 @@ def cross_validate(db: Sequence[Fingerprint], folds: int = 10,
         "classify_ms_total": round(classify_ms, 3),
         "discriminate_ms_total": round(discriminate_ms, 3),
         "identifications": n_ident,
+        "train_ms_total": round(train_ns / 1e6, 3),
     }
     return EvaluationReport(
         types=types,

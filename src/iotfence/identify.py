@@ -203,14 +203,22 @@ def identify_capture(pcap_path, registry: ClassifierRegistry,
     """Full pipeline over a capture file: one result per source device.
 
     Sessions whose every frame failed to decode have nothing to fingerprint
-    and are omitted.
+    and are omitted.  A session whose setup cannot be segmented (its
+    timestamps go backwards) fails closed on its own: Unknown, with no
+    predictions, isolated strictly, while the other devices carry on.
     """
     sessions = extract_sessions(read_pcap(pcap_path))
     out = []
     for mac, sess in sessions.items():
         if not sess.packets:
             continue
-        setup = segment_setup(sess.packets, config)
+        try:
+            setup = segment_setup(sess.packets, config)
+        except ValueError as exc:
+            failed = IdentificationResult(mac, None, (), False, StageTimes(0.0, 0.0, 0.0))
+            reason = f"setup segmentation failed ({exc}), isolated strictly"
+            out.append((failed, IsolationAssignment(IsolationLevel.STRICT, (), reason)))
+            continue
         fp = build_fingerprint(mac, setup)
         result = identify(fp, registry, store,
                           refs_per_type=refs_per_type, rng=rng)

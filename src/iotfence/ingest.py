@@ -419,6 +419,9 @@ class SessionFeatures:
 
 
 _PCAP_MAGIC_US = 0xA1B2C3D4
+# the largest snaplen libpcap writes; no record may claim more, whatever the
+# header says, so a corrupt length cannot make one read swallow the file
+_MAX_RECORD_LEN = 262_144
 
 
 def read_pcap(path) -> Iterator[tuple[str, RawFrame]]:
@@ -426,6 +429,8 @@ def read_pcap(path) -> Iterator[tuple[str, RawFrame]]:
 
     Both byte orders are accepted; the link type must be ethernet.  Frames
     shorter than an ethernet header carry no usable MAC and are dropped here.
+    A record longer than the header's snaplen (0 means unset) or than
+    262,144 bytes raises CorruptHeader before its body is read.
     """
     with open(path, "rb") as fh:
         head = fh.read(24)
@@ -438,9 +443,10 @@ def read_pcap(path) -> Iterator[tuple[str, RawFrame]]:
             endian = ">"
         else:
             raise CorruptHeader(f"unknown pcap magic: 0x{magic:08x}")
-        link_type = struct.unpack(endian + "I", head[20:24])[0]
+        snaplen, link_type = struct.unpack(endian + "II", head[16:24])
         if link_type != 1:
             raise UnsupportedLinkType(f"pcap link type {link_type}, need ethernet (1)")
+        max_len = min(snaplen, _MAX_RECORD_LEN) if snaplen else _MAX_RECORD_LEN
 
         rec_fmt = endian + "IIII"
         while True:
@@ -452,6 +458,9 @@ def read_pcap(path) -> Iterator[tuple[str, RawFrame]]:
             ts_sec, ts_usec, incl_len, _orig_len = struct.unpack(rec_fmt, rec)
             if ts_usec > 999_999:
                 raise CorruptHeader(f"pcap timestamp microseconds out of range: {ts_usec}")
+            if incl_len > max_len:
+                raise CorruptHeader(f"pcap record length {incl_len} exceeds "
+                                    f"the limit of {max_len} bytes")
             data = fh.read(incl_len)
             if len(data) < incl_len:
                 raise CorruptHeader("pcap record body truncated")

@@ -14,7 +14,7 @@ def mac_to_str(raw: bytes) -> str:
     """Render 6 hardware-address bytes as XX-XX-XX-XX-XX-XX."""
     if len(raw) != 6:
         raise ValueError(f"MAC must be 6 bytes, got {len(raw)}")
-    return "-".join(f"{b:02X}" for b in raw)
+    return raw.hex("-").upper()
 
 
 def normalize_mac(mac: str) -> str:

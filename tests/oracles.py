@@ -3,7 +3,8 @@
 Nothing in here imports from iotfence: the decoder is a second opinion
 written in a deliberately flat unpack-at-offset style, the pcap writer is the
 counterpart of the package's reader, the edit-distance oracle is the
-textbook recursion with memoization instead of a DP table, the tree walk
+textbook recursion with memoization (and, for inputs too long to recurse
+over, the full DP table) instead of bit vectors, the tree walk
 recurses over one tree at a time instead of walking packed arrays, and the
 rule cache is a plain dict plus a list.
 """
@@ -242,6 +243,41 @@ def dl_oracle(a, b, memo: dict | None = None) -> int:
         return best
 
     return rec(tuple(a), tuple(b))
+
+
+def ref_dl_table(a, b) -> int:
+    """Full-table dynamic program for edit distance with adjacent transpositions.
+
+    The same definition as dl_oracle, filled row by row in O(len(a) *
+    len(b)) time and O(len(b)) memory, so it reaches lengths the memoized
+    recursion cannot.  Symbols are interned to small ints first so the inner
+    loop compares ints, not 23-field vectors.
+    """
+    codes: dict = {}
+    xs = [codes.setdefault(s, len(codes)) for s in a]
+    ys = [codes.setdefault(s, len(codes)) for s in b]
+    n, m = len(xs), len(ys)
+    if n == 0:
+        return m
+    if m == 0:
+        return n
+
+    prev2: list[int] = []
+    prev = list(range(m + 1))
+    for i in range(1, n + 1):
+        cur = [i] + [0] * m
+        xi = xs[i - 1]
+        for j in range(1, m + 1):
+            best = min(prev[j] + 1,                      # delete
+                       cur[j - 1] + 1,                   # insert
+                       prev[j - 1] + (xi != ys[j - 1]))  # substitute / match
+            if i > 1 and j > 1 and xi == ys[j - 2] and xs[i - 2] == ys[j - 1]:
+                swap = prev2[j - 2] + 1
+                if swap < best:
+                    best = swap
+            cur[j] = best
+        prev2, prev = prev, cur
+    return prev[m]
 
 
 # tree-walk oracle -------------------------------------------------------------

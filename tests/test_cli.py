@@ -188,6 +188,28 @@ def test_identify_command(workdir, tmp_path, capsys):
     assert doc["results"][0]["device_type"] is None
 
 
+def test_identify_isolates_a_device_whose_clock_goes_back(workdir, tmp_path, capsys):
+    good, bad = "02-AA-00-00-00-98", "02-AA-00-00-00-99"
+    first, second = _dhcp_frames(bad, 60)[:2]
+    pcap = tmp_path / "mixed.pcap"
+    oracles.write_pcap(pcap, _dhcp_frames(good, 50)
+                       + [(60, 4000, first[2]), (60, 0, second[2])])
+    rules_out = tmp_path / "rules.json"
+    assert cli_main(["identify", "--pcap", str(pcap),
+                     "--model", str(workdir / "model.json"),
+                     "--fingerprints", str(workdir / "db.json"),
+                     "--rules-out", str(rules_out), "--json"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    by_mac = {r["device_mac"]: r for r in doc["results"]}
+    assert set(by_mac) == {good, bad}
+    assert len(by_mac[good]["predictions"]) > 0
+    assert by_mac[bad]["predictions"] == []
+    assert by_mac[bad]["assignment"]["isolation"] == "strict"
+    assert "segmentation failed" in by_mac[bad]["assignment"]["reason"]
+    rules = {r.source_mac: r.level for r in load_rules(rules_out)}
+    assert rules[(bad,)] is IsolationLevel.STRICT
+
+
 def test_enforce_simulate(tmp_path, capsys):
     rules_path = tmp_path / "rules.json"
     save_rules([

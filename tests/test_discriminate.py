@@ -1,4 +1,4 @@
-"""Edit distance against a brute-force oracle, plus scoring semantics."""
+"""Edit distance against brute-force and full-table oracles, plus scoring semantics."""
 
 import numpy as np
 import pytest
@@ -8,9 +8,10 @@ from iotfence.discriminate import (MAX_REFERENCES, dl_distance, discriminate,
                                    select_references)
 from iotfence.errors import BothEmpty, NoReferences
 from iotfence.fingerprint import build_fingerprint
+from iotfence.harness import SyntheticCorpusSpec, generate_corpus
 
 from conftest import make_features, random_fingerprint
-from oracles import dl_oracle
+from oracles import dl_oracle, ref_dl_table
 
 
 def test_known_distances():
@@ -33,6 +34,56 @@ def test_matches_oracle_on_random_sequences():
         a = tuple(int(v) for v in rng.integers(0, 4, size=n))
         b = tuple(int(v) for v in rng.integers(0, 4, size=m))
         assert dl_distance(a, b) == dl_oracle(a, b, memo), (a, b)
+
+
+def _agrees_with_table(a, b):
+    want = ref_dl_table(a, b)
+    assert dl_distance(a, b) == want, (len(a), len(b))
+    assert dl_distance(b, a) == want, (len(b), len(a))   # symmetric
+
+
+# bit vectors cross a 64-bit machine word at 64 and 128 rows
+WORD_EDGES = (63, 64, 65, 127, 128, 129)
+
+
+@pytest.mark.parametrize("alphabet", (1, 2, 300))
+def test_matches_table_across_lengths(alphabet):
+    rng = np.random.default_rng(alphabet)
+    lengths = sorted({*range(0, 12), *WORD_EDGES, 200, 333, 500, 520})
+    for n in lengths:
+        for m in {n, max(n - 1, 0), n + 1, int(rng.integers(0, 521))}:
+            a = rng.integers(0, alphabet, size=n).tolist()
+            b = rng.integers(0, alphabet, size=m).tolist()
+            _agrees_with_table(a, b)
+
+
+def test_matches_table_on_adjacent_swaps():
+    rng = np.random.default_rng(5)
+    for n in (2, 3, 25, *WORD_EDGES, 300):
+        base = rng.integers(0, 4, size=n).tolist()
+        for stride in (1, 2, 3):
+            # stride 1 swaps overlap, which the restricted distance may not chain
+            swapped = list(base)
+            for i in range(0, n - 1, stride):
+                swapped[i], swapped[i + 1] = swapped[i + 1], swapped[i]
+            _agrees_with_table(base, swapped)
+        distinct = list(range(n))
+        for i in range(0, n - 1, 2):
+            distinct[i], distinct[i + 1] = distinct[i + 1], distinct[i]
+        assert dl_distance(list(range(n)), distinct) == n // 2
+
+
+def test_matches_table_on_long_fingerprints():
+    spec = SyntheticCorpusSpec(n_types=2, fingerprints_per_type=3,
+                               packets_min=300, packets_max=300,
+                               burst_min=1, burst_max=1,
+                               duplicated_type_pairs=((0, 1),))
+    corpus = generate_corpus(spec, seed=3)
+    assert max(len(fp) for fp in corpus) > 129
+    for i, a in enumerate(corpus):
+        for b in corpus[i:]:
+            want = ref_dl_table(a.columns, b.columns)
+            assert dl_distance(a, b) == dl_distance(b, a) == want
 
 
 def test_accepts_fingerprints_as_sequences():

@@ -162,6 +162,33 @@ def test_identify_capture_end_to_end(tmp_path, small_corpus, small_registry):
         assert asg.level is IsolationLevel.STRICT
 
 
+def _backwards_frames(mac):
+    """Two frames of one device, the second stamped 4 ms before the first."""
+    first, second = _setup_frames(mac, 12)[:2]
+    return [(12, 4000, first[2]), (12, 0, second[2])]
+
+
+def test_identify_capture_fails_closed_per_device(tmp_path, small_corpus,
+                                                   small_registry):
+    alone = tmp_path / "alone.pcap"
+    oracles.write_pcap(alone, _setup_frames(DEV_A, 10))
+    mixed = tmp_path / "mixed.pcap"
+    oracles.write_pcap(mixed, _setup_frames(DEV_A, 10) + _backwards_frames(DEV_B))
+
+    [(want, want_asg)] = identify_capture(alone, small_registry, small_corpus, _vulns())
+    results = identify_capture(mixed, small_registry, small_corpus, _vulns())
+    assert [res.device_mac for res, _ in results] == [DEV_A, DEV_B]
+    (good, good_asg), (bad, bad_asg) = results
+    # the good device is identified as if it were alone in the capture
+    assert len(good.predictions) == len(small_registry)
+    assert (good.device_type, good.predictions) == (want.device_type, want.predictions)
+    assert good_asg == want_asg
+    assert bad.is_unknown and bad.predictions == () and not bad.discrimination_used
+    assert bad_asg.level is IsolationLevel.STRICT and bad_asg.permitted_ip == ()
+    assert "segmentation failed" in bad_asg.reason
+    assert "non-decreasing" in bad_asg.reason
+
+
 def test_identify_capture_skips_undecodable_sessions(tmp_path, small_corpus,
                                                      small_registry):
     pcap = tmp_path / "broken.pcap"

@@ -1,6 +1,7 @@
 """Decoder and feature extraction checked against an independent decoder."""
 
 import csv
+import random
 import struct
 
 import pytest
@@ -10,6 +11,7 @@ from iotfence.ingest import (DestIpCounterState, FEATURE_NAMES, PacketFeatures,
                              RawFrame, decode_frame, extract_features,
                              extract_sessions, port_class, read_pcap,
                              write_features_csv)
+from iotfence.macaddr import mac_to_str
 
 import oracles
 from conftest import make_features
@@ -271,6 +273,58 @@ def test_read_pcap_rejects_overflowing_microseconds(tmp_path):
         fh.write(b"\x00" * 20)
     with pytest.raises(CorruptHeader):
         list(read_pcap(path))
+
+
+def _patched(path, big_endian, snaplen=None, incl_len=None):
+    """Rewrite the global header's snaplen or the first record's incl_len."""
+    e = ">" if big_endian else "<"
+    raw = bytearray(path.read_bytes())
+    if snaplen is not None:
+        raw[16:20] = struct.pack(e + "I", snaplen)
+    if incl_len is not None:
+        raw[32:36] = struct.pack(e + "I", incl_len)
+    path.write_bytes(bytes(raw))
+
+
+@pytest.mark.parametrize("big_endian", (False, True))
+def test_read_pcap_bounds_record_length_by_snaplen(tmp_path, big_endian):
+    path = tmp_path / "snap.pcap"
+    records = _sample_records()
+    longest = max(len(data) for _, _, data in records)
+    oracles.write_pcap(path, records, big_endian=big_endian)
+    _patched(path, big_endian, snaplen=longest)
+    assert len(list(read_pcap(path))) == 3       # a record may fill snaplen
+    _patched(path, big_endian, snaplen=0)
+    assert len(list(read_pcap(path))) == 3       # 0: no snaplen given
+    _patched(path, big_endian, snaplen=longest - 1)
+    with pytest.raises(CorruptHeader, match="exceeds"):
+        list(read_pcap(path))
+
+
+@pytest.mark.parametrize("big_endian", (False, True))
+@pytest.mark.parametrize("snaplen", (0, 0xFFFFFFFF))
+def test_read_pcap_caps_record_length(tmp_path, big_endian, snaplen):
+    path = tmp_path / "huge.pcap"
+    frame = FRAMES["arp"] + bytes(262_145 - len(FRAMES["arp"]))
+    oracles.write_pcap(path, [(1, 0, frame)], big_endian=big_endian)
+    _patched(path, big_endian, snaplen=snaplen)
+    with pytest.raises(CorruptHeader, match="exceeds"):
+        list(read_pcap(path))
+    # refused on the header alone: the claimed body is never read
+    oracles.write_pcap(path, _sample_records(), big_endian=big_endian)
+    _patched(path, big_endian, snaplen=snaplen, incl_len=0xFFFFFFFF)
+    with pytest.raises(CorruptHeader, match="exceeds"):
+        list(read_pcap(path))
+
+
+def test_mac_to_str_matches_formatted_join():
+    rng = random.Random(7)
+    for _ in range(10_000):
+        raw = bytes(rng.randrange(256) for _ in range(6))
+        assert mac_to_str(raw) == "-".join(f"{b:02X}" for b in raw)
+    for size in (0, 5, 7):
+        with pytest.raises(ValueError):
+            mac_to_str(bytes(size))
 
 
 def test_read_pcap_drops_sub_ethernet_frames(tmp_path):
