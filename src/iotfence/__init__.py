@@ -16,7 +16,7 @@ from .enforce import (Decision, EnforcementRule, FlowKey, IsolationLevel,
                       simulate_flows)
 from .errors import IotfenceError
 from .fingerprint import (FIXED_LEN, FIXED_PACKETS, Fingerprint,
-                          FixedFingerprint, SetupSessionConfig,
+                          FixedFingerprint, SetupSessionConfig, SetupWindow,
                           build_fingerprint, load_fingerprints,
                           save_fingerprints, segment_setup, to_fixed,
                           write_fixed_csv)

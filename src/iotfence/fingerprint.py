@@ -46,6 +46,56 @@ class SetupSessionConfig:
             raise ValueError(f"max_packets must be at least {FIXED_PACKETS}")
 
 
+class SetupWindow:
+    """The setup-phase cut of one session, fed one packet timestamp at a time.
+
+    push(ts) says whether the packet belongs to the setup phase.  The window
+    closes on the packet that shows an idle gap or a rate drop (that packet
+    is not taken), or on the packet that fills it to max_packets (taken);
+    cut then names the reason.  A closed window must not be pushed again.
+    A timestamp before the last taken one raises ValueError and closes the
+    window too.
+    """
+
+    def __init__(self, config: SetupSessionConfig | None = None):
+        self.config = config or SetupSessionConfig()
+        self.cut: str | None = None  # "idle" | "rate_drop" | "max_packets" | "backwards"
+        self._taken = 0
+        self._window: deque[float] = deque()
+        self._peak_rate = 0.0
+        self._last_ts: float | None = None
+
+    @property
+    def closed(self) -> bool:
+        return self.cut is not None
+
+    def push(self, ts: float) -> bool:
+        cfg = self.config
+        if self._last_ts is not None:
+            if ts < self._last_ts:
+                self.cut = "backwards"
+                raise ValueError("timestamps must be non-decreasing")
+            if ts - self._last_ts >= cfg.idle_timeout:
+                self.cut = "idle"
+                return False
+        window = self._window
+        while window and ts - window[0] > cfg.rate_window:
+            window.popleft()
+        window.append(ts)
+        rate = len(window) / cfg.rate_window
+        # a drop is judged against the peak of the traffic seen so far;
+        # the packet that reveals the drop belongs to the steady phase
+        if self._peak_rate > 0 and rate < cfg.rate_drop_factor * self._peak_rate:
+            self.cut = "rate_drop"
+            return False
+        self._peak_rate = max(self._peak_rate, rate)
+        self._last_ts = ts
+        self._taken += 1
+        if self._taken >= cfg.max_packets:
+            self.cut = "max_packets"
+        return True
+
+
 def segment_setup(stream: Iterable[TimedFeatures],
                   config: SetupSessionConfig | None = None) -> list[PacketFeatures]:
     """Return the setup-phase prefix of a timestamped packet stream.
@@ -53,30 +103,13 @@ def segment_setup(stream: Iterable[TimedFeatures],
     Timestamps must be non-decreasing.  Raises EmptySession when the stream
     is empty or the very first packet already violates the config.
     """
-    cfg = config or SetupSessionConfig()
+    window = SetupWindow(config)
     taken: list[PacketFeatures] = []
-    window: deque[float] = deque()
-    peak_rate = 0.0
-    last_ts: float | None = None
-
     for ts, feats in stream:
-        if last_ts is not None:
-            if ts < last_ts:
-                raise ValueError("timestamps must be non-decreasing")
-            if ts - last_ts >= cfg.idle_timeout:
-                break
-        while window and ts - window[0] > cfg.rate_window:
-            window.popleft()
-        window.append(ts)
-        rate = len(window) / cfg.rate_window
-        # a drop is judged against the peak of the traffic seen so far;
-        # the packet that reveals the drop belongs to the steady phase
-        if peak_rate > 0 and rate < cfg.rate_drop_factor * peak_rate:
+        if not window.push(ts):
             break
-        peak_rate = max(peak_rate, rate)
         taken.append(feats)
-        last_ts = ts
-        if len(taken) >= cfg.max_packets:
+        if window.closed:
             break
 
     if not taken:

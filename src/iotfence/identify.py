@@ -19,8 +19,8 @@ import numpy as np
 from .discriminate import MAX_REFERENCES, discriminate, select_references
 from .enforce import IsolationLevel
 from .errors import RestrictedWithoutPermittedIps
-from .fingerprint import (Fingerprint, SetupSessionConfig, build_fingerprint,
-                          segment_setup, to_fixed)
+from .fingerprint import (Fingerprint, SetupSessionConfig, SetupWindow,
+                          build_fingerprint, to_fixed)
 from .ingest import extract_sessions, read_pcap
 from .jsonfile import dump_versioned, load_versioned
 from .typemodel import ClassifierRegistry, TypePrediction, predict_all
@@ -202,24 +202,25 @@ def identify_capture(pcap_path, registry: ClassifierRegistry,
                      ) -> list[tuple[IdentificationResult, IsolationAssignment]]:
     """Full pipeline over a capture file: one result per source device.
 
-    Sessions whose every frame failed to decode have nothing to fingerprint
-    and are omitted.  A session whose setup cannot be segmented (its
+    Only each device's setup phase is read: once its setup window closes,
+    its later frames are passed over without being decoded.  Sessions whose
+    every frame failed to decode have nothing to fingerprint and are
+    omitted.  A session whose setup cannot be segmented (its
     timestamps go backwards) fails closed on its own: Unknown, with no
     predictions, isolated strictly, while the other devices carry on.
     """
-    sessions = extract_sessions(read_pcap(pcap_path))
+    sessions = extract_sessions(read_pcap(pcap_path),
+                                setup_window=lambda: SetupWindow(config))
     out = []
     for mac, sess in sessions.items():
         if not sess.packets:
             continue
-        try:
-            setup = segment_setup(sess.packets, config)
-        except ValueError as exc:
+        if sess.setup_error is not None:
             failed = IdentificationResult(mac, None, (), False, StageTimes(0.0, 0.0, 0.0))
-            reason = f"setup segmentation failed ({exc}), isolated strictly"
+            reason = f"setup segmentation failed ({sess.setup_error}), isolated strictly"
             out.append((failed, IsolationAssignment(IsolationLevel.STRICT, (), reason)))
             continue
-        fp = build_fingerprint(mac, setup)
+        fp = build_fingerprint(mac, [p.features for p in sess.packets])
         result = identify(fp, registry, store,
                           refs_per_type=refs_per_type, rng=rng)
         out.append((result, assign_isolation(result, vulns)))

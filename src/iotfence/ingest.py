@@ -22,10 +22,14 @@ import csv
 import ipaddress
 import struct
 from dataclasses import dataclass, fields
-from typing import Iterable, Iterator, NamedTuple
+from operator import attrgetter
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator, NamedTuple
 
 from .errors import CorruptHeader, MalformedFrame, UnsupportedLinkType
 from .macaddr import mac_to_str
+
+if TYPE_CHECKING:  # fingerprint imports ingest at run time
+    from .fingerprint import SetupWindow
 
 ETH_HEADER_LEN = 14
 
@@ -56,6 +60,7 @@ FEATURE_NAMES = (
 )
 
 _BINARY_FEATURES = FEATURE_NAMES[:18] + ("raw_data",)
+_feature_values = attrgetter(*FEATURE_NAMES)
 
 
 def port_class(port: int | None) -> int:
@@ -114,7 +119,19 @@ class PacketFeatures:
                 raise ValueError(f"{name} must be in 0..3")
 
     def as_tuple(self) -> tuple[int, ...]:
-        return tuple(getattr(self, name) for name in FEATURE_NAMES)
+        return _feature_values(self)
+
+    # the hash the dataclass would generate, computed on first use and kept:
+    # edit distance hashes every column of both fingerprints per pair, while
+    # most vectors are never hashed at all
+    _hash = None
+
+    def __hash__(self) -> int:
+        h = self._hash
+        if h is None:
+            h = hash(_feature_values(self))
+            object.__setattr__(self, "_hash", h)
+        return h
 
     @classmethod
     def from_values(cls, values: Iterable[int]) -> "PacketFeatures":
@@ -411,11 +428,13 @@ class TimedFeatures(NamedTuple):
 
 @dataclass
 class SessionFeatures:
-    """All vectorized packets one source MAC emitted, in capture order."""
+    """The vectorized packets one source MAC emitted, in capture order: all
+    of them, or only its setup phase when extract_sessions cut it."""
 
     mac: str
     packets: list[TimedFeatures]
     skipped: int = 0
+    setup_error: str | None = None
 
 
 _PCAP_MAGIC_US = 0xA1B2C3D4
@@ -469,26 +488,49 @@ def read_pcap(path) -> Iterator[tuple[str, RawFrame]]:
             yield mac_to_str(data[6:12]), RawFrame(ts_sec, ts_usec, data)
 
 
-def extract_sessions(frames: Iterable[tuple[str, RawFrame]]) -> dict[str, SessionFeatures]:
+def extract_sessions(frames: Iterable[tuple[str, RawFrame]],
+                     setup_window: Callable[[], SetupWindow] | None = None,
+                     ) -> dict[str, SessionFeatures]:
     """Group frames into per-MAC sessions of feature vectors.
 
     Frames that fail to decode are counted on their session and skipped;
     one bad frame never aborts a capture.
+
+    With setup_window (a SetupWindow factory), each session keeps only its
+    setup phase: every decoded packet's timestamp is pushed to the session's
+    window, a packet is kept only if the window takes it, and once the
+    window closes the session's later frames are passed over before they are
+    decoded.  A ValueError from the window (timestamps going backwards) is
+    kept in the session's setup_error.
     """
     sessions: dict[str, SessionFeatures] = {}
     counters: dict[str, DestIpCounterState] = {}
+    windows: dict[str, SetupWindow] = {}
     for mac, frame in frames:
         sess = sessions.get(mac)
         if sess is None:
             sess = sessions[mac] = SessionFeatures(mac=mac, packets=[])
             counters[mac] = DestIpCounterState()
+            if setup_window is not None:
+                windows[mac] = setup_window()
+        window = windows.get(mac)
+        if window is not None and window.closed:
+            continue
         try:
             pkt = decode_frame(frame)
         except MalformedFrame:
             sess.skipped += 1
             continue
+        ts = frame.timestamp
+        if window is not None:
+            try:
+                if not window.push(ts):
+                    continue
+            except ValueError as exc:
+                sess.setup_error = str(exc)
+                continue
         feats = extract_features(pkt, counters[mac])
-        sess.packets.append(TimedFeatures(frame.timestamp, feats))
+        sess.packets.append(TimedFeatures(ts, feats))
     return sessions
 
 

@@ -9,7 +9,7 @@ from iotfence.errors import (CorruptFile, EmptyInput, EmptySession,
                              SchemaMismatch)
 from iotfence.fingerprint import (FIXED_LEN, FIXED_PACKETS, Fingerprint,
                                   FixedFingerprint, SetupSessionConfig,
-                                  build_fingerprint, load_fingerprints,
+                                  SetupWindow, build_fingerprint, load_fingerprints,
                                   save_fingerprints, segment_setup, to_fixed,
                                   write_fixed_csv)
 from iotfence.ingest import TimedFeatures
@@ -61,6 +61,33 @@ def test_rate_drop_ends_setup():
 def test_timestamps_must_be_monotonic():
     with pytest.raises(ValueError):
         segment_setup(_stream([1.0, 0.5]))
+
+
+@pytest.mark.parametrize("timestamps,config,cut,n_taken", [
+    ([0.0, 1.0, 2.0, 40.0, 41.0], None, "idle", 3),
+    ([i * 0.1 for i in range(30)] + [12.0, 14.0], None, "rate_drop", 31),
+    ([i * 0.01 for i in range(50)], SetupSessionConfig(max_packets=20), "max_packets", 20),
+    ([0.0, 1.0, 2.0], None, None, 3),
+])
+def test_setup_window_names_its_cut(timestamps, config, cut, n_taken):
+    window = SetupWindow(config)
+    taken = []
+    for ts in timestamps:
+        if not window.push(ts):
+            break
+        taken.append(ts)
+        if window.closed:
+            break
+    assert (window.cut, window.closed) == (cut, cut is not None)
+    assert taken == timestamps[:n_taken]
+
+
+def test_setup_window_closes_on_a_backwards_timestamp():
+    window = SetupWindow()
+    assert window.push(1.0)
+    with pytest.raises(ValueError, match="non-decreasing"):
+        window.push(0.5)
+    assert window.closed and window.cut == "backwards"
 
 
 def test_empty_stream_raises():

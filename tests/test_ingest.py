@@ -1,6 +1,8 @@
 """Decoder and feature extraction checked against an independent decoder."""
 
+import copy
 import csv
+import pickle
 import random
 import struct
 
@@ -380,3 +382,60 @@ def test_write_features_csv(tmp_path):
     sess = sessions[SRC]
     assert tuple(int(v) for v in rows[1][2:]) == sess.packets[0].features.as_tuple()
     assert rows[1][:2] == [SRC, "0"]
+
+
+# mutated frames ----------------------------------------------------------------
+
+def _facts(pkt) -> dict:
+    """A decoded packet in the shape of oracles.ref_decode's dict."""
+    return dict(arp=int(pkt.arp), llc=int(pkt.llc), ip=int(pkt.ip_version != 0),
+                icmp=int(pkt.icmp), icmpv6=int(pkt.icmpv6), eapol=int(pkt.eapol),
+                tcp=int(pkt.transport == "tcp"), udp=int(pkt.transport == "udp"),
+                src_port=pkt.src_port, dst_port=pkt.dst_port, dst_ip=pkt.dst_ip,
+                payload_len=pkt.payload_len, padding=int(pkt.ip_opt_padding),
+                router_alert=int(pkt.ip_opt_router_alert), src_mac=pkt.src_mac,
+                size=pkt.frame_len)
+
+
+def _mutations(frame: bytes, rng: random.Random, flips: int):
+    for cut in range(len(frame) + 1):
+        yield frame[:cut]
+    for _ in range(flips):
+        data = bytearray(frame)
+        for _ in range(rng.randint(1, 3)):
+            data[rng.randrange(len(data))] = rng.randrange(256)
+        yield bytes(data)
+
+
+@pytest.mark.parametrize("name", sorted(FRAMES))
+def test_mutated_frames_decode_like_reference_or_raise(name):
+    # one malformed frame is skipped, anything else raised aborts the capture
+    rng = random.Random(f"mutate-{name}")
+    for data in _mutations(FRAMES[name], rng, flips=300):
+        try:
+            pkt = decode_frame(RawFrame(0, 0, data))
+        except MalformedFrame:
+            continue
+        assert _facts(pkt) == oracles.ref_decode(data), data.hex()
+
+
+# feature vectors -----------------------------------------------------------------
+
+def test_feature_hash_is_the_field_tuple_hash():
+    rng = random.Random(7)
+    for _ in range(200):
+        values = [0] * len(FEATURE_NAMES)
+        for name in rng.sample(FEATURE_NAMES[:6], 1) + ["ip_opt_padding", "raw_data"]:
+            values[FEATURE_NAMES.index(name)] = rng.randint(0, 1)
+        values[FEATURE_NAMES.index("size")] = rng.randint(14, 1500)
+        values[FEATURE_NAMES.index("dest_ip_counter")] = rng.randint(0, 9)
+        if values[FEATURE_NAMES.index("arp")]:
+            values[FEATURE_NAMES.index("ip")] = 0
+        feats = PacketFeatures(*values)
+        again = PacketFeatures.from_values(feats.as_tuple())
+        assert again == feats and again is not feats
+        # the generated dataclass hash, so set and dict orders stay as they were
+        assert hash(feats) == hash(again) == hash(tuple(values))
+        assert len({feats, again}) == 1
+        for clone in (copy.copy(feats), pickle.loads(pickle.dumps(feats))):
+            assert clone == feats and hash(clone) == hash(feats)
