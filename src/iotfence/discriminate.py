@@ -72,7 +72,6 @@ def normalized_distance(a, b) -> float:
 class DissimilarityScore:
     device_type: str
     score: float              # in [0, 5]
-    comparisons_used: int
 
 
 def score_type(device_type: str, query, refs: Sequence) -> DissimilarityScore:
@@ -87,8 +86,7 @@ def score_type(device_type: str, query, refs: Sequence) -> DissimilarityScore:
         raise ValueError(f"at most {MAX_REFERENCES} references, got {len(refs)}")
     total = sum(normalized_distance(query, ref) for ref in refs)
     total *= MAX_REFERENCES / len(refs)
-    return DissimilarityScore(device_type=device_type, score=total,
-                              comparisons_used=len(refs))
+    return DissimilarityScore(device_type=device_type, score=total)
 
 
 def discriminate(query, candidates: Sequence[tuple[str, Sequence]]) -> str:

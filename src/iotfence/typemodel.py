@@ -4,7 +4,9 @@ Each device type gets its own random forest trained one-vs-rest: the type's
 fingerprints against a sample of exactly ten negatives per positive drawn
 from the other types.  A forest votes match when at least half of its trees
 do.  Trees are plain CART: Gini impurity, uniform threshold splits on a
-random feature subset per node, grown to purity on a bootstrap sample.
+random feature subset per node, grown to purity on a bootstrap sample.  A
+forest's trees grow together, a node of each per step, on exact per-value
+histograms of its training matrix.
 
 Everything is deterministic from one integer seed; retraining on identical
 data yields bit-identical model files.
@@ -42,14 +44,12 @@ class ForestParams:
             raise ValueError("max_features must be at least 1")
 
 
-def fixed_matrix(fps: Sequence[FixedFingerprint] | np.ndarray) -> np.ndarray:
-    """Stack fixed fingerprints into a float matrix, one row each."""
-    if isinstance(fps, np.ndarray):
-        arr = np.asarray(fps, dtype=np.float64)
-        if arr.ndim != 2:
-            raise DimensionMismatch(f"expected a 2-D matrix, got ndim={arr.ndim}")
-        return arr
-    return np.array([fp.values for fp in fps], dtype=np.float64)
+def fixed_matrix(rows: np.ndarray) -> np.ndarray:
+    """Fixed fingerprint rows as a 2-D float matrix."""
+    arr = np.asarray(rows, dtype=np.float64)
+    if arr.ndim != 2:
+        raise DimensionMismatch(f"expected a 2-D matrix, got ndim={arr.ndim}")
+    return arr
 
 
 class DecisionTree:
@@ -99,78 +99,267 @@ class DecisionTree:
                    doc["right"], doc["leaf_class"], doc["votes"])
 
 
-def _grow_tree(X: np.ndarray, y: np.ndarray, rng: np.random.Generator,
-               max_features: int) -> DecisionTree:
-    """Fit one tree on a bootstrap of (X, y); split search is vectorized."""
-    n_rows, n_feats = X.shape
-    max_features = min(max_features, n_feats)
+# most (row, sampled feature) cells and histogram bins one scoring pass holds
+_BATCH_CELLS = 1 << 16
+# most cells gathered for one histogram update
+_HIST_CELLS = 1 << 13
+# mean rows per node from which nodes gather their cells one at a time
+_WIDE_NODE = 48
+# columns sorted together when a forest's training matrix is coded
+_CODE_COLUMNS = 32
 
-    feature: list[int] = []
-    threshold: list[float] = []
-    left: list[int] = []
-    right: list[int] = []
-    leaf_class: list[int] = []
-    votes: list[int] = []
 
-    def new_node() -> int:
-        feature.append(-1)
-        threshold.append(0.0)
-        left.append(-1)
-        right.append(-1)
-        leaf_class.append(-1)
-        votes.append(0)
-        return len(feature) - 1
+class _Growing:
+    """One tree's node lists, generator and stack of impure nodes to split.
 
-    bootstrap = rng.integers(0, n_rows, n_rows)
-    stack = [(new_node(), bootstrap)]
-    while stack:
-        node, rows = stack.pop()
-        ys = y[rows]
+    A stack entry is (node id, bootstrap rows reaching it, positives among
+    them).  Node ids are handed out when a node's parent splits, left child
+    first, and the stack pops left before right, as in a recursive build.
+    """
+
+    __slots__ = ("rng", "stack", "feature", "threshold", "left", "right",
+                 "leaf_class", "votes")
+
+    def __init__(self, rng: np.random.Generator):
+        self.rng = rng
+        self.stack: list[tuple[int, np.ndarray, int]] = []
+        self.feature: list[int] = []
+        self.threshold: list[float] = []
+        self.left: list[int] = []
+        self.right: list[int] = []
+        self.leaf_class: list[int] = []
+        self.votes: list[int] = []
+
+    def add_node(self, rows: np.ndarray, n_pos: int) -> int:
+        """Append a node reached by rows; a pure one is a leaf at once."""
         n = len(rows)
-        n_pos = int(ys.sum())
-        if n_pos == 0 or n_pos == n:
-            leaf_class[node] = 1 if n_pos else 0
-            votes[node] = n
-            continue
+        pure = n_pos == 0 or n_pos == n
+        self.feature.append(-1)
+        self.threshold.append(0.0)
+        self.left.append(-1)
+        self.right.append(-1)
+        self.leaf_class.append((1 if n_pos else 0) if pure else -1)
+        self.votes.append(n if pure else 0)
+        return len(self.feature) - 1
 
-        feats = rng.choice(n_feats, size=max_features, replace=False)
-        Xn = X[np.ix_(rows, feats)]
-        order = np.argsort(Xn, axis=0, kind="stable")
-        Xs = np.take_along_axis(Xn, order, axis=0)
-        pos_left = np.cumsum(ys[order], axis=0)[:-1].astype(np.float64)
+    def push(self, node: int, rows: np.ndarray, n_pos: int) -> None:
+        if self.leaf_class[node] < 0:
+            self.stack.append((node, rows, n_pos))
 
-        cnt_left = np.arange(1, n, dtype=np.float64)[:, None]
-        cnt_right = n - cnt_left
-        pos_right = n_pos - pos_left
-        gini_left = 1.0 - (pos_left / cnt_left) ** 2 \
-                        - ((cnt_left - pos_left) / cnt_left) ** 2
-        gini_right = 1.0 - (pos_right / cnt_right) ** 2 \
-                         - ((cnt_right - pos_right) / cnt_right) ** 2
-        weighted = (cnt_left * gini_left + cnt_right * gini_right) / n
-        # splits between equal values are impossible
-        weighted[Xs[:-1] == Xs[1:]] = np.inf
+    def tree(self) -> DecisionTree:
+        return DecisionTree(self.feature, self.threshold, self.left,
+                            self.right, self.leaf_class, self.votes)
 
-        flat = int(np.argmin(weighted))  # ties: lowest split position, then
-        i, j = divmod(flat, weighted.shape[1])  # first sampled feature
-        if not np.isfinite(weighted[i, j]):
+
+def _code_columns(X: np.ndarray):
+    """Each column's sorted distinct values, and each cell's index into them.
+
+    Returns (codes, values, first): column f's distinct values, ascending,
+    are values[first[f]:first[f + 1]], and codes[f, r] is twice the index
+    of X[r, f] in values.  Columns are coded a block at a time, which
+    bounds the sort's temporaries.
+    """
+    n_rows, n_feats = X.shape
+    codes = np.empty((n_feats, n_rows), dtype=np.int32)
+    values, first = [], []
+    n_values = 0
+    for lo in range(0, n_feats, _CODE_COLUMNS):
+        columns = X[:, lo:lo + _CODE_COLUMNS].T.copy()
+        order = np.argsort(columns, axis=1, kind="stable")
+        order += np.arange(0, columns.size, n_rows)[:, None]
+        columns.sort(axis=1)
+        ranked = columns.ravel()
+        new = np.empty(ranked.shape, dtype=bool)
+        np.not_equal(ranked[1:], ranked[:-1], out=new[1:])
+        new[::n_rows] = True
+        values.append(ranked[new])
+        index = np.cumsum(new, dtype=np.int32)
+        index += n_values - 1
+        first.append(index[::n_rows].copy())
+        n_values += len(values[-1])
+        index *= 2
+        codes[lo:lo + len(columns)].ravel()[order.ravel()] = index
+    first.append([n_values])
+    return codes, np.concatenate(values), np.concatenate(first)
+
+
+def _grow_forest(coded, y: np.ndarray, rngs: Sequence[np.random.Generator],
+                 max_features: int) -> list[DecisionTree]:
+    """Fit one CART tree per generator, each on its own bootstrap of (X, y),
+    where coded is _code_columns(X).
+
+    The trees grow in lockstep: each step pops every tree's next impure node
+    in preorder and draws its feature subset from that tree's generator, so
+    every draw matches a tree-at-a-time build.  Batches of the popped nodes
+    are then scored in one pass each, on exact per-value histograms.
+    """
+    n_rows, n_feats = len(y), len(coded[0])
+    m = min(max_features, n_feats)
+    n_values = np.diff(coded[2])
+    growing = []
+    for rng in rngs:
+        g = _Growing(rng)
+        rows = rng.integers(0, n_rows, n_rows)
+        n_pos = int(y[rows].sum())
+        g.push(g.add_node(rows, n_pos), rows, n_pos)
+        growing.append(g)
+
+    live = [g for g in growing if g.stack]
+    while live:
+        popped = [g.stack.pop() + (g,) for g in live]
+        feats = np.array([g.rng.choice(n_feats, size=m, replace=False)
+                          for g in live])
+        cost = m * np.array([len(rows) for _, rows, _, _ in popped]) \
+            + n_values[feats].sum(axis=1)
+        for a, b in _runs(cost.tolist(), _BATCH_CELLS):
+            _split_nodes(y, coded, popped[a:b], feats[a:b])
+        live = [g for g in live if g.stack]
+    return [g.tree() for g in growing]
+
+
+def _runs(costs: list, cap: int):
+    """Split range(len(costs)) into consecutive (start, stop) runs whose
+    costs sum to at most cap, or that hold a single item."""
+    start, total = 0, 0
+    for k, cost in enumerate(costs):
+        if total + cost > cap and k > start:
+            yield start, k
+            start, total = k, 0
+        total += cost
+    yield start, len(costs)
+
+
+def _cell_bins(codes: np.ndarray, rows: list, feats: np.ndarray,
+               shift2: np.ndarray, labels: np.ndarray) -> np.ndarray:
+    """2 * bin + label of every (sampled feature, row) cell of some nodes.
+
+    Wide nodes gather a block each from the feature-major codes; narrow
+    ones gather all their cells at once.
+    """
+    sizes = [len(node_rows) for node_rows in rows]
+    if len(labels) >= _WIDE_NODE * len(rows):
+        cells = np.concatenate([codes[f][:, node_rows] for f, node_rows in zip(feats, rows)],
+                               axis=1, dtype=np.int64)
+        cells += np.repeat(shift2.T, sizes, axis=1)
+        cells += labels
+    else:
+        node = np.repeat(np.arange(len(rows)), sizes)
+        cells = shift2[node]
+        cells += codes[feats[node], np.concatenate(rows)[:, None]]
+        cells += labels[:, None]
+    return cells.ravel()
+
+
+def _split_nodes(y: np.ndarray, coded, batch: list, feats: np.ndarray) -> None:
+    """Split each (node, rows, n_pos, tree) of batch at its best Gini split
+    on the features in its row of feats, or make it a majority leaf if every
+    one of them is constant on its rows.
+
+    Node k's sampled feature j gets a histogram segment with one bin per
+    distinct value of that feature in X; segment (k, j) sits at k*m + j.
+    """
+    codes, values, first = coded
+    n_nodes, m = feats.shape
+    sizes = np.array([len(rows) for _, rows, _, _ in batch])
+    rows = np.concatenate([rows for _, rows, _, _ in batch])
+    labels = y[rows]
+
+    seg_bins = (first[feats + 1] - first[feats]).ravel()
+    seg_start = np.cumsum(seg_bins) - seg_bins
+    # value index + shift[k * m + j] is the bin in segment (k, j)
+    shift = seg_start - first[feats].ravel()
+    shift2 = (2 * shift).reshape(n_nodes, m)
+    row_end = np.cumsum(sizes).tolist()
+    counts = np.zeros(2 * int(seg_bins.sum()), dtype=np.int64)
+    for a, b in _runs((m * sizes).tolist(), _HIST_CELLS):
+        start = row_end[a] - len(batch[a][1])
+        cells = _cell_bins(codes, [node_rows for _, node_rows, _, _ in batch[a:b]],
+                           feats[a:b], shift2[a:b], labels[start:row_end[b - 1]])
+        counts += np.bincount(cells, minlength=len(counts))
+    del cells
+    n_pos = np.array([node_pos for _, _, node_pos, _ in batch])
+    split_node, split_seg, split_bins = _best_splits(counts, seg_start, sizes, n_pos, m)
+
+    has_split = np.zeros(n_nodes, dtype=bool)
+    has_split[split_node] = True
+    node_feat = np.zeros(n_nodes, dtype=np.int64)
+    node_feat[split_node] = feats.ravel()[split_seg]
+    node_thr = np.zeros(n_nodes)
+    # midpoint of the split bin's value and the next value present
+    split_values = values[split_bins - shift[split_seg, None]]
+    node_thr[split_node] = (split_values[:, 0] + split_values[:, 1]) / 2.0
+    node_of_row = np.repeat(np.arange(n_nodes), sizes)
+    go_left = values[codes[node_feat[node_of_row], rows] >> 1] <= node_thr[node_of_row]
+    n_left = np.bincount(node_of_row[go_left], minlength=n_nodes)
+    pos_left = np.bincount(node_of_row[go_left & (labels == 1)],
+                           minlength=n_nodes).tolist()
+    # the rows going left and right, each still grouped by node
+    lo_all, hi_all = rows[go_left], rows[~go_left]
+    lo_end = np.cumsum(n_left).tolist()
+    hi_end = np.cumsum(sizes - n_left).tolist()
+    n_left, has_split = n_left.tolist(), has_split.tolist()
+    for k, (node_id, node_rows, node_pos, g) in enumerate(batch):
+        if not has_split[k]:
             # every sampled feature is constant here; settle for majority
-            leaf_class[node] = int(2 * n_pos >= n)
-            votes[node] = n
+            g.leaf_class[node_id] = int(2 * node_pos >= len(node_rows))
+            g.votes[node_id] = len(node_rows)
             continue
+        lo_rows = lo_all[lo_end[k] - n_left[k]:lo_end[k]]
+        hi_rows = hi_all[hi_end[k] - len(node_rows) + n_left[k]:hi_end[k]]
+        lo_pos = pos_left[k]
+        hi_pos = node_pos - lo_pos
+        g.feature[node_id] = int(node_feat[k])
+        g.threshold[node_id] = float(node_thr[k])
+        lo = g.left[node_id] = g.add_node(lo_rows, lo_pos)
+        hi = g.right[node_id] = g.add_node(hi_rows, hi_pos)
+        g.push(hi, hi_rows, hi_pos)
+        g.push(lo, lo_rows, lo_pos)
 
-        feat = int(feats[j])
-        thr = float((Xs[i, j] + Xs[i + 1, j]) / 2.0)
-        go_left = X[rows, feat] <= thr
-        feature[node] = feat
-        threshold[node] = thr
-        left_id = new_node()
-        right_id = new_node()
-        left[node] = left_id
-        right[node] = right_id
-        stack.append((right_id, rows[~go_left]))
-        stack.append((left_id, rows[go_left]))
 
-    return DecisionTree(feature, threshold, left, right, leaf_class, votes)
+def _best_splits(counts: np.ndarray, seg_start: np.ndarray, sizes: np.ndarray,
+                 n_pos: np.ndarray, m: int):
+    """The lowest weighted Gini split of each node that has one.
+
+    counts holds (rows, positives) pairs per bin, which is 2 * bin and
+    2 * bin + 1; segment s of bins starts at seg_start[s] and belongs to node
+    s // m.  A candidate split lies after each non-empty bin that has a
+    later non-empty bin in its segment.  Ties go to the lowest left count,
+    then the lowest j, as argmin over the (split position, j) grid of a
+    node-at-a-time search over sorted columns would pick.  Returns the
+    nodes, their split segments, and the (split, next non-empty) bin pairs.
+    """
+    pos = counts[1::2]
+    cnt = counts[0::2] + pos
+    full = np.flatnonzero(cnt)          # non-empty bins, by (k, j, value)
+    seg = np.searchsorted(seg_start, full, side="right") - 1
+    seg_first = np.searchsorted(seg, np.arange(len(seg_start)))
+    splits = np.ones(len(full), dtype=bool)
+    splits[seg_first[1:] - 1] = False
+    splits[-1] = False
+    cand = np.flatnonzero(splits)
+    cseg = seg[cand]
+    node, j = np.divmod(cseg, m)
+
+    cum_cnt = np.concatenate(([0], np.cumsum(cnt[full])))
+    cum_pos = np.concatenate(([0], np.cumsum(pos[full])))
+    begin = seg_first[cseg]
+    cnt_left = (cum_cnt[cand + 1] - cum_cnt[begin]).astype(np.float64)
+    pos_left = (cum_pos[cand + 1] - cum_pos[begin]).astype(np.float64)
+    n = sizes[node].astype(np.float64)
+    cnt_right = n - cnt_left
+    pos_right = n_pos[node] - pos_left
+    gini_left = 1.0 - (pos_left / cnt_left) ** 2 \
+                    - ((cnt_left - pos_left) / cnt_left) ** 2
+    gini_right = 1.0 - (pos_right / cnt_right) ** 2 \
+                     - ((cnt_right - pos_right) / cnt_right) ** 2
+    weighted = (cnt_left * gini_left + cnt_right * gini_right) / n
+
+    new_node = np.diff(node, prepend=-1) != 0
+    group, group_of = np.flatnonzero(new_node), np.cumsum(new_node) - 1
+    tied = weighted == np.minimum.reduceat(weighted, group)[group_of]
+    key = np.where(tied, cnt_left * m + j, np.inf)
+    best = cand[tied & (key == np.minimum.reduceat(key, group)[group_of])]
+    return seg[best] // m, seg[best], full[np.stack((best, best + 1), axis=1)]
 
 
 class _PackedForests:
@@ -252,8 +441,7 @@ class TypePrediction:
 
 
 def train_type_classifier(device_type: str,
-                          positives: Sequence[FixedFingerprint] | np.ndarray,
-                          negative_pool: Sequence[FixedFingerprint] | np.ndarray,
+                          positives: np.ndarray, negative_pool: np.ndarray,
                           params: ForestParams = ForestParams(),
                           seed: int = 0) -> TypeClassifier:
     """Fit the forest for one type: positives vs 10x sampled negatives."""
@@ -274,12 +462,12 @@ def train_type_classifier(device_type: str,
     seeds = np.random.SeedSequence(seed).spawn(params.n_trees + 1)
     neg_rows = np.random.default_rng(seeds[0]).choice(
         pool.shape[0], size=n_neg, replace=False)
-    X = np.vstack([pos, pool[neg_rows]])
     y = np.concatenate([np.ones(n_pos, dtype=np.int64),
                         np.zeros(n_neg, dtype=np.int64)])
 
-    trees = [_grow_tree(X, y, np.random.default_rng(seeds[i + 1]), max_features)
-             for i in range(params.n_trees)]
+    coded = _code_columns(np.vstack([pos, pool[neg_rows]]))
+    trees = _grow_forest(coded, y, [np.random.default_rng(s) for s in seeds[1:]],
+                         max_features)
     meta = {"n_positive": n_pos, "n_negative": n_neg, "seed": seed,
             "n_trees": params.n_trees, "max_features": max_features}
     return TypeClassifier(device_type=device_type, trees=trees,

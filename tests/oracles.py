@@ -5,8 +5,9 @@ written in a deliberately flat unpack-at-offset style, the pcap writer is the
 counterpart of the package's reader, the edit-distance oracle is the
 textbook recursion with memoization (and, for inputs too long to recurse
 over, the full DP table) instead of bit vectors, the tree walk
-recurses over one tree at a time instead of walking packed arrays, and the
-rule cache is a plain dict plus a list.
+recurses over one tree at a time instead of walking packed arrays, the tree
+grower sorts each node's rows instead of growing a forest's trees together
+on per-value histograms, and the rule cache is a plain dict plus a list.
 """
 
 import struct
@@ -295,6 +296,90 @@ def ref_tree_class(tree: dict, row, node: int = 0) -> int:
 def ref_forest_score(trees: list, row) -> float:
     """Fraction of trees (dicts of node lists) whose leaf class is 1."""
     return sum(ref_tree_class(t, row) for t in trees) / len(trees)
+
+
+# tree-growing oracle ----------------------------------------------------------
+
+def ref_grow_tree(X, y, rng, max_features: int) -> dict:
+    """Fit one CART tree on a bootstrap of (X, y), one node at a time.
+
+    Each impure node draws its feature subset from rng, sorts its rows on
+    every sampled feature and takes the first minimum of the weighted Gini
+    over (split position, sampled feature).  Returns the node lists as a
+    dict, in DecisionTree.to_dict's layout.
+    """
+    import numpy as np
+
+    n_rows, n_feats = X.shape
+    max_features = min(max_features, n_feats)
+
+    feature: list[int] = []
+    threshold: list[float] = []
+    left: list[int] = []
+    right: list[int] = []
+    leaf_class: list[int] = []
+    votes: list[int] = []
+
+    def new_node() -> int:
+        feature.append(-1)
+        threshold.append(0.0)
+        left.append(-1)
+        right.append(-1)
+        leaf_class.append(-1)
+        votes.append(0)
+        return len(feature) - 1
+
+    bootstrap = rng.integers(0, n_rows, n_rows)
+    stack = [(new_node(), bootstrap)]
+    while stack:
+        node, rows = stack.pop()
+        ys = y[rows]
+        n = len(rows)
+        n_pos = int(ys.sum())
+        if n_pos == 0 or n_pos == n:
+            leaf_class[node] = 1 if n_pos else 0
+            votes[node] = n
+            continue
+
+        feats = rng.choice(n_feats, size=max_features, replace=False)
+        Xn = X[np.ix_(rows, feats)]
+        order = np.argsort(Xn, axis=0, kind="stable")
+        Xs = np.take_along_axis(Xn, order, axis=0)
+        pos_left = np.cumsum(ys[order], axis=0)[:-1].astype(np.float64)
+
+        cnt_left = np.arange(1, n, dtype=np.float64)[:, None]
+        cnt_right = n - cnt_left
+        pos_right = n_pos - pos_left
+        gini_left = 1.0 - (pos_left / cnt_left) ** 2 \
+                        - ((cnt_left - pos_left) / cnt_left) ** 2
+        gini_right = 1.0 - (pos_right / cnt_right) ** 2 \
+                         - ((cnt_right - pos_right) / cnt_right) ** 2
+        weighted = (cnt_left * gini_left + cnt_right * gini_right) / n
+        # splits between equal values are impossible
+        weighted[Xs[:-1] == Xs[1:]] = np.inf
+
+        flat = int(np.argmin(weighted))  # ties: lowest split position, then
+        i, j = divmod(flat, weighted.shape[1])  # first sampled feature
+        if not np.isfinite(weighted[i, j]):
+            # every sampled feature is constant here; settle for majority
+            leaf_class[node] = int(2 * n_pos >= n)
+            votes[node] = n
+            continue
+
+        feat = int(feats[j])
+        thr = float((Xs[i, j] + Xs[i + 1, j]) / 2.0)
+        go_left = X[rows, feat] <= thr
+        feature[node] = feat
+        threshold[node] = thr
+        left_id = new_node()
+        right_id = new_node()
+        left[node] = left_id
+        right[node] = right_id
+        stack.append((right_id, rows[~go_left]))
+        stack.append((left_id, rows[go_left]))
+
+    return {"feature": feature, "threshold": threshold, "left": left,
+            "right": right, "leaf_class": leaf_class, "votes": votes}
 
 
 # rule-cache model ---------------------------------------------------------------

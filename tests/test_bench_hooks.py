@@ -54,3 +54,26 @@ def test_trace_install_wraps_and_uninstall_restores(tracing):
     after = _package_state()
     assert after.keys() == before.keys()
     assert all(after[key] is before[key] for key in before)
+
+
+def test_fit_registry_trains_each_type_through_the_module_global(monkeypatch,
+                                                                small_corpus):
+    """The trace's per-classifier training metrics count these calls."""
+    import numpy as np
+    from iotfence import typemodel
+    from iotfence.fingerprint import to_fixed
+
+    trained = []
+    real = typemodel.train_type_classifier
+
+    def counting(device_type, *args, **kwargs):
+        trained.append(device_type)
+        return real(device_type, *args, **kwargs)
+
+    monkeypatch.setattr(typemodel, "train_type_classifier", counting)
+    types = sorted({fp.label for fp in small_corpus})
+    X = np.array([to_fixed(fp).values for fp in small_corpus], dtype=np.float64)
+    y = np.array([types.index(fp.label) for fp in small_corpus])
+    registry = typemodel.fit_registry(X, y, types, typemodel.ForestParams(n_trees=2),
+                                      np.random.SeedSequence(1))
+    assert trained == types == registry.types()

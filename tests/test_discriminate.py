@@ -1,5 +1,7 @@
 """Edit distance against brute-force and full-table oracles, plus scoring semantics."""
 
+import importlib
+
 import numpy as np
 import pytest
 
@@ -12,6 +14,9 @@ from iotfence.harness import SyntheticCorpusSpec, generate_corpus
 
 from conftest import make_features, random_fingerprint
 from oracles import dl_oracle, ref_dl_table
+
+# the package exports a function of the same name as this module
+discriminate_module = importlib.import_module("iotfence.discriminate")
 
 
 def test_known_distances():
@@ -105,15 +110,23 @@ def test_normalized_distance_range_and_empty():
         normalized_distance([], [])
 
 
-def test_score_type_rescales_by_reference_count():
+def test_score_type_rescales_by_reference_count(monkeypatch):
+    calls = []
+
+    def counting(a, b):
+        calls.append((a, b))
+        return dl_distance(a, b)
+
+    monkeypatch.setattr(discriminate_module, "dl_distance", counting)
     one = score_type("cam", "abcd", ["abcd"])
-    assert one.score == 0.0 and one.comparisons_used == 1
+    assert one.score == 0.0 and len(calls) == 1
     # one ref at distance 1/2 counts five-fold
     half = score_type("cam", "ab", ["abcd"])
     assert half.score == pytest.approx(2.5)
+    calls.clear()
     full = score_type("cam", "ab", ["abcd"] * MAX_REFERENCES)
     assert full.score == pytest.approx(2.5)
-    assert full.comparisons_used == MAX_REFERENCES
+    assert len(calls) == MAX_REFERENCES
 
 
 def test_score_type_bounds_and_errors():

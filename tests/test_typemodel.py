@@ -1,5 +1,6 @@
 """Forest training, the packed scoring walk, determinism, persistence."""
 
+import hashlib
 import json
 
 import numpy as np
@@ -8,12 +9,14 @@ import pytest
 from iotfence.errors import (CorruptFile, DimensionMismatch, EmptyRegistry,
                              InsufficientData, VersionMismatch)
 from iotfence.fingerprint import FIXED_LEN, to_fixed
-from iotfence.harness import shuffle_labels
+from iotfence.harness import (CorpusNoise, SyntheticCorpusSpec, generate_corpus,
+                              shuffle_labels)
 from iotfence.typemodel import (ClassifierRegistry, DecisionTree, ForestParams,
                                 MATCH_THRESHOLD, NEGATIVES_PER_POSITIVE,
-                                TypeClassifier, fixed_matrix, load_model,
-                                predict_all, save_model,
-                                train_type_classifier, train_registry)
+                                TypeClassifier, _code_columns, _grow_forest,
+                                fixed_matrix, load_model, predict_all,
+                                save_model, train_type_classifier,
+                                train_registry)
 
 import oracles
 from conftest import random_registry
@@ -62,6 +65,108 @@ def test_training_data_requirements():
         train_type_classifier("cam", pos, pool[:59])  # need 10 per positive
     with pytest.raises(DimensionMismatch):
         train_type_classifier("cam", pos, pool[:, :19])
+
+
+def _assert_grows_like_reference(X, y, max_features, seeds):
+    """The lockstep grower against the node-at-a-time oracle, tree by tree,
+    with the same generators; both must also consume the same draws."""
+    X, y = np.asarray(X, dtype=np.float64), np.asarray(y)
+    ours = [np.random.default_rng(s) for s in seeds]
+    theirs = [np.random.default_rng(s) for s in seeds]
+    trees = _grow_forest(_code_columns(X), y, ours, max_features)
+    for tree, rng, mine in zip(trees, theirs, ours):
+        assert tree.to_dict() == oracles.ref_grow_tree(X, y, rng, max_features)
+        assert rng.bit_generator.state == mine.bit_generator.state
+    return trees
+
+
+def _one_vs_rest(db, label):
+    X = np.array([to_fixed(fp).values for fp in db], dtype=np.float64)
+    return X, np.array([fp.label == label for fp in db], dtype=np.int64)
+
+
+def test_forest_grows_reference_trees_on_separable_data():
+    rng = np.random.default_rng(5)
+    pos, pool = _separable(rng, gap=3.0)
+    X = np.vstack([pos, pool[:60]])
+    y = np.r_[np.ones(6, dtype=np.int64), np.zeros(60, dtype=np.int64)]
+    _assert_grows_like_reference(X, y, 5, range(40))
+
+
+def test_forest_grows_reference_trees_on_shuffled_labels(small_corpus):
+    shuffled = shuffle_labels(small_corpus, seed=3)
+    X, y = _one_vs_rest(shuffled, shuffled[0].label)
+    trees = _assert_grows_like_reference(X, y, 17, range(100, 120))
+    assert max(_depth(t) for t in trees) >= 6
+
+
+def test_forest_grows_reference_trees_on_jittered_duplicate_pair():
+    spec = SyntheticCorpusSpec(n_types=6, fingerprints_per_type=10,
+                               noise=CorpusNoise(size_jitter=2),
+                               duplicated_type_pairs=((0, 1),))
+    db = generate_corpus(spec, seed=21)
+    for label in (spec.type_name(0), spec.type_name(1), spec.type_name(4)):
+        X, y = _one_vs_rest(db, label)
+        _assert_grows_like_reference(X, y, 17, range(30))
+
+
+@pytest.mark.parametrize("X, y, max_features", [
+    # identical columns and mirrored labels: equal Gini across sampled
+    # features and across split positions
+    ([[0, 0], [1, 1], [2, 2], [3, 3]], [1, 0, 0, 1], 2),
+    ([[0, 5, 0], [1, 5, 1], [2, 5, 1], [3, 5, 0], [4, 5, 1]], [1, 0, 0, 0, 1], 3),
+    # pure splits after one row on a column and after three on its mirror
+    ([[0, 3], [1, 2], [2, 1], [3, 0]], [1, 0, 0, 0], 2),
+    # every column constant on mixed labels: majority leaves, half goes to 1
+    ([[7, 1], [7, 1], [7, 1], [7, 1]], [1, 0, 1, 0], 2),
+    ([[7, 1], [7, 1], [7, 1]], [1, 0, 0], 1),
+    # a one-value column next to informative ones, drawn one at a time
+    ([[3, 0], [3, 1], [3, 2], [3, 3], [3, 4], [3, 5]], [0, 1, 0, 1, 1, 0], 1),
+    # two rows: every bootstrap repeats one of them or holds both
+    ([[0.5, 2], [1.5, 2]], [0, 1], 1),
+    ([[-0.0, 1], [0.0, 2], [0.0, 1]], [0, 1, 1], 2),
+])
+def test_forest_grows_reference_trees_on_ties(X, y, max_features):
+    _assert_grows_like_reference(X, y, max_features, range(60))
+
+
+def test_forest_grows_reference_trees_on_few_distinct_values():
+    rng = np.random.default_rng(0)
+    for _ in range(40):
+        n, width = int(rng.integers(2, 50)), int(rng.integers(1, 9))
+        X = rng.integers(0, int(rng.integers(1, 5)), size=(n, width))
+        y = rng.integers(0, 2, n)
+        seeds = rng.integers(0, 2**32, 8)
+        _assert_grows_like_reference(X, y, int(rng.integers(1, width + 1)), seeds)
+
+
+def test_column_codes_index_sorted_distinct_values():
+    X = np.random.default_rng(3).integers(0, 6, size=(40, 70)).astype(np.float64)
+    X[:, 5] = 2.5   # a one-value column
+    for data in (X, X[:, :1]):
+        before = data.copy()
+        codes, values, first = _code_columns(data)
+        assert np.array_equal(data, before)   # coding never sorts its input
+        for f in range(data.shape[1]):
+            distinct, index = np.unique(data[:, f], return_inverse=True)
+            assert values[first[f]:first[f + 1]].tolist() == distinct.tolist()
+            assert (codes[f] == 2 * (first[f] + index)).all()
+
+
+# sha256 of save_model for the store below, written by the node-at-a-time
+# grower that tests/oracles.py keeps as ref_grow_tree
+PINNED_MODEL_SHA256 = "02320d98a183efcdaf58607e28d6ad5529ee0a381f0900812d70d5f48e2715d2"
+
+
+def test_model_bytes_are_pinned(tmp_path):
+    spec = SyntheticCorpusSpec(n_types=12, fingerprints_per_type=12,
+                               noise=CorpusNoise(size_jitter=2),
+                               duplicated_type_pairs=((0, 1),))
+    registry = train_registry(generate_corpus(spec, seed=5),
+                              ForestParams(n_trees=10), seed=11)
+    save_model(registry, tmp_path / "model.json")
+    digest = hashlib.sha256((tmp_path / "model.json").read_bytes()).hexdigest()
+    assert digest == PINNED_MODEL_SHA256
 
 
 def _reference_scores(registry: ClassifierRegistry, X: np.ndarray) -> list:
