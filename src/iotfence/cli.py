@@ -95,18 +95,26 @@ def _cmd_extract(args) -> int:
     write_features_csv(sessions, args.out)
     n_packets = sum(len(s.packets) for s in sessions.values())
     n_skipped = sum(s.skipped for s in sessions.values())
+    n_failed = 0
     if args.fingerprints_out:
         fps = []
         for mac, sess in sessions.items():
             if not sess.packets:
                 continue
-            setup = segment_setup(sess.packets, config)
+            try:
+                setup = segment_setup(sess.packets, config)
+            except ValueError as exc:  # this device's timestamps go backwards
+                print(f"iotfence: {mac}: setup segmentation failed ({exc}), "
+                      f"no fingerprint", file=sys.stderr)
+                n_failed += 1
+                continue
             fps.append(build_fingerprint(mac, setup, label=args.label))
         save_fingerprints(fps, args.fingerprints_out)
         if args.fixed_csv:
             write_fixed_csv(fps, args.fixed_csv)
+    failed = f", {n_failed} sessions not fingerprinted" if n_failed else ""
     print(f"{len(sessions)} sessions, {n_packets} packets "
-          f"({n_skipped} malformed frames skipped) -> {args.out}")
+          f"({n_skipped} malformed frames skipped{failed}) -> {args.out}")
     return 0
 
 

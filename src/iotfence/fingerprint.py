@@ -162,14 +162,13 @@ def build_fingerprint(device_mac: str, packets: Sequence[PacketFeatures],
 
 def to_fixed(fp: Fingerprint) -> FixedFingerprint:
     """First 12 globally unique columns, flattened and zero-padded to 276."""
-    seen: set[tuple[int, ...]] = set()
+    seen: set[PacketFeatures] = set()
     flat: list[int] = []
     for col in fp.columns:
-        key = col.as_tuple()
-        if key in seen:
+        if col in seen:
             continue
-        seen.add(key)
-        flat.extend(key)
+        seen.add(col)
+        flat.extend(col)
         if len(seen) == FIXED_PACKETS:
             break
     flat.extend([0] * (FIXED_LEN - len(flat)))
@@ -182,7 +181,7 @@ def save_fingerprints(db: Sequence[Fingerprint], path) -> None:
     for fp in db:
         rec: dict = {
             "mac": fp.device_mac,
-            "columns": [list(col.as_tuple()) for col in fp.columns],
+            "columns": [list(col) for col in fp.columns],
         }
         if fp.label is not None:
             rec["label"] = fp.label

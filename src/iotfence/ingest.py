@@ -21,8 +21,8 @@ from __future__ import annotations
 import csv
 import ipaddress
 import struct
-from dataclasses import dataclass, fields
-from operator import attrgetter
+from collections import namedtuple
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator, NamedTuple
 
 from .errors import CorruptHeader, MalformedFrame, UnsupportedLinkType
@@ -59,8 +59,8 @@ FEATURE_NAMES = (
     "size", "raw_data", "dest_ip_counter", "src_port_class", "dst_port_class",
 )
 
-_BINARY_FEATURES = FEATURE_NAMES[:18] + ("raw_data",)
-_feature_values = attrgetter(*FEATURE_NAMES)
+_FLAG_VALUES = frozenset((0, 1))
+_PORT_CLASSES = (0, 1, 2, 3)
 
 
 def port_class(port: int | None) -> int:
@@ -76,72 +76,45 @@ def port_class(port: int | None) -> int:
     return 3
 
 
-@dataclass(frozen=True)
-class PacketFeatures:
-    """One packet reduced to the 23-field vector, in column order."""
+class PacketFeatures(namedtuple("PacketFeatures", FEATURE_NAMES)):
+    """One packet reduced to the 23-field vector: a tuple of ints in column
+    order, so it equals and hashes like the plain tuple of its values."""
 
-    arp: int
-    llc: int
-    ip: int
-    icmp: int
-    icmpv6: int
-    eapol: int
-    tcp: int
-    udp: int
-    http: int
-    https: int
-    dhcp: int
-    bootp: int
-    ssdp: int
-    dns: int
-    mdns: int
-    ntp: int
-    ip_opt_padding: int
-    ip_opt_router_alert: int
-    size: int
-    raw_data: int
-    dest_ip_counter: int
-    src_port_class: int
-    dst_port_class: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        for name in _BINARY_FEATURES:
-            if getattr(self, name) not in (0, 1):
-                raise ValueError(f"{name} must be 0 or 1")
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
+        if not _FLAG_VALUES.issuperset(self[:18]) or self.raw_data not in (0, 1):
+            raise ValueError("protocol flags and raw_data must be 0 or 1")
         if self.tcp + self.udp > 1:
             raise ValueError("tcp and udp are mutually exclusive")
         if self.arp and self.ip:
             raise ValueError("arp frames carry no ip layer")
         if self.size < 0 or self.dest_ip_counter < 0:
             raise ValueError("size and dest_ip_counter must be non-negative")
-        for name in ("src_port_class", "dst_port_class"):
-            if getattr(self, name) not in (0, 1, 2, 3):
-                raise ValueError(f"{name} must be in 0..3")
+        if (self.src_port_class not in _PORT_CLASSES
+                or self.dst_port_class not in _PORT_CLASSES):
+            raise ValueError("src_port_class and dst_port_class must be in 0..3")
+        return self
+
+    @classmethod
+    def _make(cls, iterable) -> "PacketFeatures":
+        # namedtuple's own _make (and _replace, which calls it) skips __new__
+        return cls(*iterable)
 
     def as_tuple(self) -> tuple[int, ...]:
-        return _feature_values(self)
-
-    # the hash the dataclass would generate, computed on first use and kept:
-    # edit distance hashes every column of both fingerprints per pair, while
-    # most vectors are never hashed at all
-    _hash = None
-
-    def __hash__(self) -> int:
-        h = self._hash
-        if h is None:
-            h = hash(_feature_values(self))
-            object.__setattr__(self, "_hash", h)
-        return h
+        return tuple(self)
 
     @classmethod
     def from_values(cls, values: Iterable[int]) -> "PacketFeatures":
-        vals = tuple(int(v) for v in values)
+        """Build a vector from loaded values, which must be 23 ints."""
+        vals = tuple(values)
         if len(vals) != len(FEATURE_NAMES):
             raise ValueError(f"expected {len(FEATURE_NAMES)} values, got {len(vals)}")
+        for v in vals:
+            if type(v) is not int:
+                raise ValueError(f"feature values must be integers, got {v!r}")
         return cls(*vals)
-
-
-assert tuple(f.name for f in fields(PacketFeatures)) == FEATURE_NAMES
 
 
 @dataclass(frozen=True)
@@ -165,7 +138,6 @@ class RawFrame:
 class DecodedPacket:
     """Protocol facts pulled out of one frame, before vectorization."""
 
-    src_mac: str
     frame_len: int
     arp: bool = False
     llc: bool = False
@@ -347,10 +319,7 @@ def decode_frame(frame: RawFrame) -> DecodedPacket:
     if len(data) < ETH_HEADER_LEN:
         raise MalformedFrame(f"frame too short: {len(data)} bytes")
 
-    out: dict = {
-        "src_mac": mac_to_str(data[6:12]),
-        "frame_len": len(data),
-    }
+    out: dict = {"frame_len": len(data)}
     ethertype = _u16(data, 12)
     offset = ETH_HEADER_LEN
     if ethertype == ETHERTYPE_VLAN:
@@ -443,8 +412,8 @@ _PCAP_MAGIC_US = 0xA1B2C3D4
 _MAX_RECORD_LEN = 262_144
 
 
-def read_pcap(path) -> Iterator[tuple[str, RawFrame]]:
-    """Yield (source MAC, frame) pairs from a classic pcap file.
+def read_pcap(path) -> Iterator[RawFrame]:
+    """Yield the frames of a classic pcap file.
 
     Both byte orders are accepted; the link type must be ethernet.  Frames
     shorter than an ethernet header carry no usable MAC and are dropped here.
@@ -485,13 +454,15 @@ def read_pcap(path) -> Iterator[tuple[str, RawFrame]]:
                 raise CorruptHeader("pcap record body truncated")
             if len(data) < ETH_HEADER_LEN:
                 continue
-            yield mac_to_str(data[6:12]), RawFrame(ts_sec, ts_usec, data)
+            yield RawFrame(ts_sec, ts_usec, data)
 
 
-def extract_sessions(frames: Iterable[tuple[str, RawFrame]],
+def extract_sessions(frames: Iterable[RawFrame],
                      setup_window: Callable[[], SetupWindow] | None = None,
                      ) -> dict[str, SessionFeatures]:
-    """Group frames into per-MAC sessions of feature vectors.
+    """Group frames into per-MAC sessions of feature vectors, keyed by the
+    formatted source MAC in first-frame order.  Each frame must hold at least
+    an ethernet header, as every frame read_pcap yields does.
 
     Frames that fail to decode are counted on their session and skipped;
     one bad frame never aborts a capture.
@@ -503,17 +474,18 @@ def extract_sessions(frames: Iterable[tuple[str, RawFrame]],
     decoded.  A ValueError from the window (timestamps going backwards) is
     kept in the session's setup_error.
     """
-    sessions: dict[str, SessionFeatures] = {}
-    counters: dict[str, DestIpCounterState] = {}
-    windows: dict[str, SetupWindow] = {}
-    for mac, frame in frames:
-        sess = sessions.get(mac)
-        if sess is None:
-            sess = sessions[mac] = SessionFeatures(mac=mac, packets=[])
-            counters[mac] = DestIpCounterState()
-            if setup_window is not None:
-                windows[mac] = setup_window()
-        window = windows.get(mac)
+    # keyed on the raw source-MAC bytes, so each MAC is formatted only once
+    open_sessions: dict[bytes, tuple[SessionFeatures, DestIpCounterState,
+                                     SetupWindow | None]] = {}
+    for frame in frames:
+        raw_mac = frame.data[6:12]
+        got = open_sessions.get(raw_mac)
+        if got is None:
+            got = open_sessions[raw_mac] = (
+                SessionFeatures(mac=mac_to_str(raw_mac), packets=[]),
+                DestIpCounterState(),
+                setup_window() if setup_window is not None else None)
+        sess, counter, window = got
         if window is not None and window.closed:
             continue
         try:
@@ -529,9 +501,9 @@ def extract_sessions(frames: Iterable[tuple[str, RawFrame]],
             except ValueError as exc:
                 sess.setup_error = str(exc)
                 continue
-        feats = extract_features(pkt, counters[mac])
+        feats = extract_features(pkt, counter)
         sess.packets.append(TimedFeatures(ts, feats))
-    return sessions
+    return {sess.mac: sess for sess, _, _ in open_sessions.values()}
 
 
 def write_features_csv(sessions: dict[str, SessionFeatures], path) -> None:
@@ -541,4 +513,4 @@ def write_features_csv(sessions: dict[str, SessionFeatures], path) -> None:
         writer.writerow(("mac", "packet_index") + FEATURE_NAMES)
         for sess in sessions.values():
             for idx, (_, feats) in enumerate(sess.packets):
-                writer.writerow((sess.mac, idx) + feats.as_tuple())
+                writer.writerow((sess.mac, idx) + feats)

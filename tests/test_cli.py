@@ -1,6 +1,7 @@
 """Command-line interface, driven in-process through cli_main; the console
 script runs in a subprocess."""
 
+import hashlib
 import json
 import os
 import shutil
@@ -22,7 +23,7 @@ from iotfence.enforce import IsolationLevel, load_rules, make_rule, save_rules
 from iotfence.fingerprint import load_fingerprints
 
 import oracles
-from oracles import eth, ipv4, udp
+from oracles import eapol, eth, hop_by_hop, icmp, icmpv6, ipv4, ipv6, tcp, udp
 
 DEV_A = "02-AA-00-00-00-01"
 DEV_B = "02-AA-00-00-00-02"
@@ -127,6 +128,70 @@ def test_extract_features_and_fingerprints(tmp_path):
     assert counts == {DEV_A: 6, DEV_B: 4}
 
     assert fixed_out.read_text().splitlines()[0].startswith("label,v0,")
+
+
+GW = "02-AA-00-00-00-FE"
+
+# two devices' setup traffic over most decoder paths: a consecutive
+# duplicate, a VLAN tag, IPv4 and IPv6 options and one truncated frame
+PINNED_CAPTURE = [
+    (10, 0, eth(DEV_A, "FF-FF-FF-FF-FF-FF", 0x0806,
+                oracles.arp_request(DEV_A, "192.168.0.10", "192.168.0.1"))),
+    (10, 2000, eth(DEV_A, "FF-FF-FF-FF-FF-FF", 0x0800,
+                   ipv4(17, udp(68, 67, bytes(240)), dst="255.255.255.255"))),
+    (10, 2500, eth(DEV_B, GW, 0x86DD, ipv6(17, udp(5353, 5353, b"q" * 30)))),
+    (10, 4000, eth(DEV_A, GW, 0x0800, ipv4(17, udp(52001, 53, b"q" * 24), dst="8.8.8.8"))),
+    (10, 4000, eth(DEV_A, GW, 0x0800, ipv4(17, udp(52001, 53, b"q" * 24), dst="8.8.8.8"))),
+    (10, 5000, eth(DEV_B, GW, 0x0800, ipv4(17, udp(50000, 1900, b"M-SEARCH"),
+                                           dst="239.255.255.250"))),
+    (10, 6000, eth(DEV_A, GW, 0x0800, ipv4(6, tcp(51000, 443, b"\x16\x03", data_offset=8),
+                                           dst="52.1.2.3"))),
+    (10, 7000, eth(DEV_B, GW, 0x888E, eapol(b"\x01\x02\x03"))),
+    (10, 8000, eth(DEV_B, GW, 0x0800, ipv4(6, tcp(1, 2)[:10]))),
+    (11, 0, oracles.llc_frame(DEV_B, GW, b"\xAA\xAA\x03" + b"payload")),
+    (11, 500, eth(DEV_A, GW, 0x0800, ipv4(17, udp(123, 123, bytes(40)), dst="8.8.8.8"))),
+    (11, 900, eth(DEV_B, GW, 0x0800, ipv4(1, icmp(8, b"abc"), options=b"\x94\x04\x00\x00",
+                                          dst="192.168.0.1"))),
+    (12, 0, eth(DEV_B, GW, 0x86DD, ipv6(0, hop_by_hop(58, b"\x05\x02\x00\x00")
+                                        + icmpv6(128, b"ping")))),
+    (12, 100, eth(DEV_A, GW, 0x0800, ipv4(6, tcp(51000, 80, b"GET / HTTP/1.1"),
+                                          dst="52.1.2.3"), vlan=10)),
+]
+
+# sha256 of the files extract writes for PINNED_CAPTURE, as written when
+# PacketFeatures was a frozen dataclass and read_pcap formatted every MAC
+PINNED_CSV_SHA256 = "aea64c34a6b0c90058f7e5864fa740b49fc2be5db7626e1828d8236ab607105b"
+PINNED_DB_SHA256 = "deeed241809f9413206f8c3e80012c9bbc2d27df7c546e558cca589b3d18759d"
+
+
+def test_extract_output_bytes_are_pinned(tmp_path, capsys):
+    pcap = tmp_path / "pinned.pcap"
+    oracles.write_pcap(pcap, PINNED_CAPTURE)
+    csv_out, db_out = tmp_path / "features.csv", tmp_path / "fps.json"
+    assert cli_main(["extract", "--pcap", str(pcap), "--out", str(csv_out),
+                     "--fingerprints-out", str(db_out), "--label", "camera"]) == 0
+    assert capsys.readouterr().out.startswith(
+        "2 sessions, 13 packets (1 malformed frames skipped) -> ")
+    assert hashlib.sha256(csv_out.read_bytes()).hexdigest() == PINNED_CSV_SHA256
+    assert hashlib.sha256(db_out.read_bytes()).hexdigest() == PINNED_DB_SHA256
+
+
+def test_extract_skips_the_fingerprint_of_a_device_whose_clock_goes_back(tmp_path, capsys):
+    good, bad = "02-AA-00-00-00-98", "02-AA-00-00-00-99"
+    first, second = _dhcp_frames(bad, 60)[:2]
+    pcap = tmp_path / "mixed.pcap"
+    oracles.write_pcap(pcap, _dhcp_frames(good, 50)
+                       + [(60, 4000, first[2]), (60, 0, second[2])])
+    csv_out, db_out = tmp_path / "features.csv", tmp_path / "fps.json"
+    assert cli_main(["extract", "--pcap", str(pcap), "--out", str(csv_out),
+                     "--fingerprints-out", str(db_out)]) == 0
+    out, err = capsys.readouterr()
+    assert "1 sessions not fingerprinted" in out
+    assert bad in err and "non-decreasing" in err
+    assert len(csv_out.read_text().splitlines()) == 1 + 14 + 2
+    db = load_fingerprints(db_out)
+    assert [fp.device_mac for fp in db] == [good]
+    assert len(db[0].columns) == 14
 
 
 def test_extract_session_config(tmp_path):

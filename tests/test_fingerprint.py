@@ -1,5 +1,6 @@
 """Setup segmentation, duplicate collapsing, fixed-width form, persistence."""
 
+import hashlib
 import json
 
 import numpy as np
@@ -12,7 +13,8 @@ from iotfence.fingerprint import (FIXED_LEN, FIXED_PACKETS, Fingerprint,
                                   SetupWindow, build_fingerprint, load_fingerprints,
                                   save_fingerprints, segment_setup, to_fixed,
                                   write_fixed_csv)
-from iotfence.ingest import TimedFeatures
+from iotfence.harness import CorpusNoise, SyntheticCorpusSpec, generate_corpus
+from iotfence.ingest import FEATURE_NAMES, TimedFeatures
 
 from conftest import make_features, random_features, random_fingerprint
 
@@ -225,6 +227,36 @@ def test_load_rejects_malformed_record(tmp_path):
     }))
     with pytest.raises(CorruptFile):
         load_fingerprints(path)
+
+
+@pytest.mark.parametrize("bad", (0.5, 60.9, 60.0, "1", True))
+@pytest.mark.parametrize("field", ("udp", "size"))
+def test_load_rejects_non_integer_values(tmp_path, field, bad):
+    # int() would load each of them as a valid 0, 60 or 1: refused instead
+    column = list(make_features(ip=1, udp=1, size=60))
+    column[FEATURE_NAMES.index(field)] = bad
+    path = tmp_path / "floats.json"
+    path.write_text(json.dumps({
+        "schema": "iotfence-fingerprints/1",
+        "fingerprints": [{"mac": MAC, "columns": [column]}],
+    }))
+    with pytest.raises(CorruptFile, match="integers"):
+        load_fingerprints(path)
+
+
+# sha256 of save_fingerprints for the store below, as written when
+# PacketFeatures was a frozen dataclass
+PINNED_STORE_SHA256 = "f6916f8f17ead0bd4bfec682a888f51b8590a4df6a4a3f33fa7441d8d8a2173f"
+
+
+def test_saved_fingerprint_bytes_are_pinned(tmp_path):
+    spec = SyntheticCorpusSpec(n_types=4, fingerprints_per_type=3,
+                               noise=CorpusNoise(drop_prob=0.1, size_jitter=2))
+    store = generate_corpus(spec, seed=3)
+    save_fingerprints(store, tmp_path / "store.json")
+    digest = hashlib.sha256((tmp_path / "store.json").read_bytes()).hexdigest()
+    assert digest == PINNED_STORE_SHA256
+    assert load_fingerprints(tmp_path / "store.json") == store
 
 
 def test_write_fixed_csv(tmp_path):

@@ -8,6 +8,7 @@ import struct
 
 import pytest
 
+from iotfence import ingest
 from iotfence.errors import CorruptHeader, MalformedFrame, UnsupportedLinkType
 from iotfence.ingest import (DestIpCounterState, FEATURE_NAMES, PacketFeatures,
                              RawFrame, decode_frame, extract_features,
@@ -93,7 +94,6 @@ def test_decode_matches_reference(name):
     feats = extract_features(pkt, DestIpCounterState())
     expected_counter = 1 if ref["dst_ip"] else 0
     assert feats.as_tuple() == features_from_ref(ref, expected_counter)
-    assert pkt.src_mac == ref["src_mac"]
     assert pkt.frame_len == len(frame)
 
 
@@ -193,6 +193,13 @@ def test_feature_vector_invariants():
     assert PacketFeatures.from_values(feats.as_tuple()) == feats
     with pytest.raises(ValueError):
         PacketFeatures.from_values((0,) * 22)
+    # the namedtuple helpers construct through the same checks
+    with pytest.raises(ValueError):
+        feats._replace(tcp=1)
+    with pytest.raises(ValueError):
+        PacketFeatures._make([5] * len(FEATURE_NAMES))
+    assert feats._replace(size=90).size == 90
+    assert PacketFeatures._make(feats) == feats
 
 
 def test_dest_ip_counter_is_dense_first_seen():
@@ -223,10 +230,9 @@ def test_read_pcap_round_trip(tmp_path, big_endian):
     oracles.write_pcap(path, records, big_endian=big_endian)
     got = list(read_pcap(path))
     assert len(got) == 3
-    for (ts_sec, ts_usec, data), (mac, frame) in zip(records, got):
+    for (ts_sec, ts_usec, data), frame in zip(records, got):
         assert frame.data == data
         assert (frame.ts_sec, frame.ts_usec) == (ts_sec, ts_usec)
-        assert mac == oracles.ref_decode(data)["src_mac"]
 
 
 def test_read_pcap_rejects_bad_magic(tmp_path):
@@ -334,7 +340,7 @@ def test_read_pcap_drops_sub_ethernet_frames(tmp_path):
     oracles.write_pcap(path, [(1, 0, b"\x00" * 10), (2, 0, FRAMES["arp"])])
     got = list(read_pcap(path))
     assert len(got) == 1
-    assert got[0][1].data == FRAMES["arp"]
+    assert got[0].data == FRAMES["arp"]
 
 
 # session grouping -----------------------------------------------------------
@@ -367,6 +373,27 @@ def test_extract_sessions_groups_and_counts(tmp_path):
     assert sessions[OTHER].skipped == 0
 
 
+def test_each_mac_is_formatted_once(tmp_path, monkeypatch):
+    calls = []
+
+    def counting(raw):
+        calls.append(raw)
+        return mac_to_str(raw)
+
+    monkeypatch.setattr(ingest, "mac_to_str", counting)
+    frames = [FRAMES["dns"], FRAMES["ntp"], oracles.llc_frame(OTHER, DST, b"\xAA\xAA\x03x")]
+    records = [(0, i, frames[i % 3]) for i in range(1_000)]
+    path = tmp_path / "many.pcap"
+    oracles.write_pcap(path, records)
+    sessions = extract_sessions(read_pcap(path))
+    assert len(calls) == 2
+    # keyed as the reference decoder reads each frame's MAC, first frame first
+    want = dict.fromkeys(oracles.ref_decode(data)["src_mac"] for _, _, data in records)
+    assert list(sessions) == list(want) == [SRC, OTHER]
+    assert all(sess.mac == mac for mac, sess in sessions.items())
+    assert [len(s.packets) for s in sessions.values()] == [667, 333]
+
+
 def test_write_features_csv(tmp_path):
     frames = [(1, 0, FRAMES["dns"]), (2, 0, FRAMES["arp"])]
     pcap = tmp_path / "cap.pcap"
@@ -393,8 +420,7 @@ def _facts(pkt) -> dict:
                 tcp=int(pkt.transport == "tcp"), udp=int(pkt.transport == "udp"),
                 src_port=pkt.src_port, dst_port=pkt.dst_port, dst_ip=pkt.dst_ip,
                 payload_len=pkt.payload_len, padding=int(pkt.ip_opt_padding),
-                router_alert=int(pkt.ip_opt_router_alert), src_mac=pkt.src_mac,
-                size=pkt.frame_len)
+                router_alert=int(pkt.ip_opt_router_alert), size=pkt.frame_len)
 
 
 def _mutations(frame: bytes, rng: random.Random, flips: int):
@@ -416,7 +442,9 @@ def test_mutated_frames_decode_like_reference_or_raise(name):
             pkt = decode_frame(RawFrame(0, 0, data))
         except MalformedFrame:
             continue
-        assert _facts(pkt) == oracles.ref_decode(data), data.hex()
+        ref = oracles.ref_decode(data)
+        del ref["src_mac"]   # decode_frame leaves the MAC to extract_sessions
+        assert _facts(pkt) == ref, data.hex()
 
 
 # feature vectors -----------------------------------------------------------------
@@ -434,8 +462,12 @@ def test_feature_hash_is_the_field_tuple_hash():
         feats = PacketFeatures(*values)
         again = PacketFeatures.from_values(feats.as_tuple())
         assert again == feats and again is not feats
-        # the generated dataclass hash, so set and dict orders stay as they were
+        # the plain tuple's hash, so set and dict orders, and every output
+        # that follows them, are those of the pinned files
         assert hash(feats) == hash(again) == hash(tuple(values))
-        assert len({feats, again}) == 1
-        for clone in (copy.copy(feats), pickle.loads(pickle.dumps(feats))):
+        assert feats == tuple(values) and feats.as_tuple() == tuple(values)
+        assert len({feats, again, tuple(values)}) == 1
+        for clone in (copy.copy(feats), copy.deepcopy(feats),
+                      pickle.loads(pickle.dumps(feats))):
+            assert type(clone) is PacketFeatures
             assert clone == feats and hash(clone) == hash(feats)
