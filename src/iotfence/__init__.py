@@ -30,9 +30,8 @@ from .ingest import (FEATURE_NAMES, DecodedPacket, DestIpCounterState,
                      decode_frame, extract_features, extract_sessions,
                      port_class, read_pcap, write_features_csv)
 from .macaddr import mac_to_str, normalize_mac
-from .typemodel import (ClassifierRegistry, DecisionTree, ForestParams,
-                        TypeClassifier, TypePrediction, load_model,
-                        predict_all, save_model, train_registry,
-                        train_type_classifier)
+from .typemodel import (ClassifierRegistry, ForestParams, TypeClassifier,
+                        TypePrediction, load_model, predict_all, save_model,
+                        train_registry, train_type_classifier)
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -1,7 +1,7 @@
 """Command-line interface.
 
-Exit codes: 0 success, 1 usage error, 2 data error (missing or corrupt
-files, domain violations).
+Exit codes: 0 success, 1 usage error, 2 data error (a file that cannot be
+read, parsed or written; a domain violation).
 """
 
 from __future__ import annotations
@@ -330,7 +330,7 @@ def cli_main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (IotfenceError, FileNotFoundError, IsADirectoryError, ValueError) as exc:
+    except (IotfenceError, OSError, ValueError) as exc:
         print(f"iotfence: error: {exc}", file=sys.stderr)
         return 2
 

@@ -63,7 +63,12 @@ def rule_hash(source_mac: Sequence[str], level: IsolationLevel,
 
 @dataclass(frozen=True)
 class EnforcementRule:
-    """One device's isolation policy, hash-sealed against tampering."""
+    """One device's isolation policy.
+
+    hash is rule_hash of the policy fields: an unkeyed, truncated sha256
+    that catches accidental damage, not tampering, since anyone who edits a
+    rule can recompute it.
+    """
 
     id: int
     name: str
@@ -106,7 +111,7 @@ class EnforcementRule:
 def make_rule(mac: str | Sequence[str], level: IsolationLevel,
               permitted_ip: Sequence[str] = (), rule_id: int = 0,
               priority: int = 0, name: str = "") -> EnforcementRule:
-    """Build a sealed rule; MACs are normalized, the hash is computed here."""
+    """Build a rule; MACs are normalized, the hash is computed here."""
     macs = (mac,) if isinstance(mac, str) else tuple(mac)
     macs = tuple(normalize_mac(m) for m in macs)
     ips = tuple(permitted_ip)

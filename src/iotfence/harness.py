@@ -163,11 +163,11 @@ def _gen_base(rng: np.random.Generator, spec: SyntheticCorpusSpec,
 def _make_features(ti: int, pad: int, alert: int, size: int,
                    counter: int) -> PacketFeatures:
     _, flags, _, _, raw = _TEMPLATES[ti]
-    values = dict.fromkeys(FEATURE_NAMES, 0)
-    values.update(flags)
-    values.update(ip_opt_padding=pad, ip_opt_router_alert=alert,
-                  size=size, raw_data=raw, dest_ip_counter=counter)
-    return PacketFeatures(**values)
+    # positional, in FEATURE_NAMES order: the 16 protocol flags, then the rest
+    return PacketFeatures(*[flags.get(name, 0) for name in FEATURE_NAMES[:16]],
+                          pad, alert, size, raw, counter,
+                          flags.get("src_port_class", 0),
+                          flags.get("dst_port_class", 0))
 
 
 def _realize(base: tuple[_BasePacket, ...], mac: str, label: str,

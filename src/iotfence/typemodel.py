@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from types import SimpleNamespace
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -25,9 +26,12 @@ from .errors import (DimensionMismatch, EmptyRegistry, InsufficientData,
 from .fingerprint import Fingerprint, FixedFingerprint, to_fixed
 from .jsonfile import dump_versioned, load_versioned
 
-MODEL_SCHEMA = "iotfence-typemodel/1"
+MODEL_SCHEMA = "iotfence-typemodel/2"
 MATCH_THRESHOLD = 0.5
 NEGATIVES_PER_POSITIVE = 10
+# a forest's parallel per-node arrays; all but threshold hold integers
+NODE_ARRAYS = ("feature", "threshold", "left", "right", "leaf_class")
+_FOREST_ARRAYS = NODE_ARRAYS + ("tree_nodes",)
 
 
 @dataclass(frozen=True)
@@ -52,53 +56,6 @@ def fixed_matrix(rows: np.ndarray) -> np.ndarray:
     return arr
 
 
-class DecisionTree:
-    """One CART tree stored as parallel node arrays.
-
-    feature[i] is -1 for leaves; leaf_class[i] is -1 for internal nodes;
-    votes[i] carries the bootstrap sample count that reached a leaf.  Node 0
-    is the root, and every internal node's children come after it, so every
-    walk from the root ends at a leaf within len(feature) steps.
-    """
-
-    __slots__ = ("feature", "threshold", "left", "right", "leaf_class", "votes")
-
-    def __init__(self, feature, threshold, left, right, leaf_class, votes):
-        self.feature = np.asarray(feature, dtype=np.int64)
-        self.threshold = np.asarray(threshold, dtype=np.float64)
-        self.left = np.asarray(left, dtype=np.int64)
-        self.right = np.asarray(right, dtype=np.int64)
-        self.leaf_class = np.asarray(leaf_class, dtype=np.int64)
-        self.votes = np.asarray(votes, dtype=np.int64)
-        n = len(self.feature)
-        if n == 0 or not all(len(a) == n for a in (
-                self.threshold, self.left, self.right, self.leaf_class, self.votes)):
-            raise ValueError("tree arrays must be non-empty and of equal length")
-        # trees are small: a plain loop beats a dozen array calls here
-        for i, (feat, lo, hi, cls) in enumerate(zip(
-                self.feature.tolist(), self.left.tolist(), self.right.tolist(),
-                self.leaf_class.tolist())):
-            if feat >= 0 and not (i < lo < n and i < hi < n):
-                raise ValueError(f"node {i}: children must come after it")
-            if feat < 0 and cls not in (0, 1):
-                raise ValueError(f"leaf {i}: class must be 0 or 1")
-
-    def to_dict(self) -> dict:
-        return {
-            "feature": self.feature.tolist(),
-            "threshold": self.threshold.tolist(),
-            "left": self.left.tolist(),
-            "right": self.right.tolist(),
-            "leaf_class": self.leaf_class.tolist(),
-            "votes": self.votes.tolist(),
-        }
-
-    @classmethod
-    def from_dict(cls, doc: dict) -> "DecisionTree":
-        return cls(doc["feature"], doc["threshold"], doc["left"],
-                   doc["right"], doc["leaf_class"], doc["votes"])
-
-
 # most (row, sampled feature) cells and histogram bins one scoring pass holds
 _BATCH_CELLS = 1 << 16
 # most cells gathered for one histogram update
@@ -117,8 +74,7 @@ class _Growing:
     first, and the stack pops left before right, as in a recursive build.
     """
 
-    __slots__ = ("rng", "stack", "feature", "threshold", "left", "right",
-                 "leaf_class", "votes")
+    __slots__ = ("rng", "stack") + NODE_ARRAYS
 
     def __init__(self, rng: np.random.Generator):
         self.rng = rng
@@ -128,27 +84,20 @@ class _Growing:
         self.left: list[int] = []
         self.right: list[int] = []
         self.leaf_class: list[int] = []
-        self.votes: list[int] = []
 
     def add_node(self, rows: np.ndarray, n_pos: int) -> int:
         """Append a node reached by rows; a pure one is a leaf at once."""
-        n = len(rows)
-        pure = n_pos == 0 or n_pos == n
+        pure = n_pos == 0 or n_pos == len(rows)
         self.feature.append(-1)
         self.threshold.append(0.0)
         self.left.append(-1)
         self.right.append(-1)
         self.leaf_class.append((1 if n_pos else 0) if pure else -1)
-        self.votes.append(n if pure else 0)
         return len(self.feature) - 1
 
     def push(self, node: int, rows: np.ndarray, n_pos: int) -> None:
         if self.leaf_class[node] < 0:
             self.stack.append((node, rows, n_pos))
-
-    def tree(self) -> DecisionTree:
-        return DecisionTree(self.feature, self.threshold, self.left,
-                            self.right, self.leaf_class, self.votes)
 
 
 def _code_columns(X: np.ndarray):
@@ -184,9 +133,10 @@ def _code_columns(X: np.ndarray):
 
 
 def _grow_forest(coded, y: np.ndarray, rngs: Sequence[np.random.Generator],
-                 max_features: int) -> list[DecisionTree]:
+                 max_features: int) -> dict:
     """Fit one CART tree per generator, each on its own bootstrap of (X, y),
-    where coded is _code_columns(X).
+    where coded is _code_columns(X); returns TypeClassifier's node arrays
+    and tree_nodes, trees in generator order.
 
     The trees grow in lockstep: each step pops every tree's next impure node
     in preorder and draws its feature subset from that tree's generator, so
@@ -214,7 +164,10 @@ def _grow_forest(coded, y: np.ndarray, rngs: Sequence[np.random.Generator],
         for a, b in _runs(cost.tolist(), _BATCH_CELLS):
             _split_nodes(y, coded, popped[a:b], feats[a:b])
         live = [g for g in live if g.stack]
-    return [g.tree() for g in growing]
+    forest = {name: np.concatenate([getattr(g, name) for g in growing])
+              for name in NODE_ARRAYS}
+    forest["tree_nodes"] = np.array([len(g.feature) for g in growing])
+    return forest
 
 
 def _runs(costs: list, cap: int):
@@ -302,7 +255,6 @@ def _split_nodes(y: np.ndarray, coded, batch: list, feats: np.ndarray) -> None:
         if not has_split[k]:
             # every sampled feature is constant here; settle for majority
             g.leaf_class[node_id] = int(2 * node_pos >= len(node_rows))
-            g.votes[node_id] = len(node_rows)
             continue
         lo_rows = lo_all[lo_end[k] - n_left[k]:lo_end[k]]
         hi_rows = hi_all[hi_end[k] - len(node_rows) + n_left[k]:hi_end[k]]
@@ -363,7 +315,7 @@ def _best_splits(counts: np.ndarray, seg_start: np.ndarray, sizes: np.ndarray,
 
 
 class _PackedForests:
-    """Every tree of a list of classifiers in one set of flat node arrays.
+    """The node arrays of a list of classifiers, concatenated.
 
     Node ids are global; leaves point to themselves, so walking every tree
     for as many steps as the deepest one has levels leaves each row at a
@@ -372,21 +324,19 @@ class _PackedForests:
     """
 
     def __init__(self, classifiers: Sequence[TypeClassifier]):
-        trees = [tree for clf in classifiers for tree in clf.trees]
-        sizes = np.array([len(tree.feature) for tree in trees])
-        self.roots = np.concatenate(([0], np.cumsum(sizes)[:-1]))
+        tree_nodes = np.concatenate([clf.tree_nodes for clf in classifiers])
+        self.roots = np.cumsum(tree_nodes) - tree_nodes
         self.starts = np.cumsum([0] + [clf.n_trees for clf in classifiers[:-1]])
         self.widths = {clf.n_features for clf in classifiers}
-        feature = np.concatenate([tree.feature for tree in trees])
+        feature, self.threshold, left, right, self.leaf_class = (
+            np.concatenate([getattr(clf, name) for clf in classifiers])
+            for name in NODE_ARRAYS)
         internal = feature >= 0
         node = np.arange(len(feature))
-        offset = np.repeat(self.roots, sizes)
+        offset = np.repeat(self.roots, tree_nodes)
         self.feature = np.where(internal, feature, 0)
-        self.threshold = np.concatenate([tree.threshold for tree in trees])
-        self.left, self.right = (
-            np.where(internal, np.concatenate(child) + offset, node)
-            for child in ([t.left for t in trees], [t.right for t in trees]))
-        self.leaf_class = np.concatenate([tree.leaf_class for tree in trees])
+        self.left = np.where(internal, left + offset, node)
+        self.right = np.where(internal, right + offset, node)
         self.depth = 0
         level = self.roots[internal[self.roots]]
         while level.size:
@@ -408,25 +358,68 @@ class _PackedForests:
         return np.add.reduceat(self.leaf_class[node], self.starts, axis=1)
 
 
-@dataclass
+@dataclass(eq=False)
 class TypeClassifier:
-    """A trained one-vs-rest forest for a single device type."""
+    """A trained one-vs-rest forest for a single device type.
+
+    The forest is five parallel node arrays holding its trees one after
+    another; tree i has tree_nodes[i] nodes.  Within a tree, node 0 is the
+    root and node ids are tree-local.  A leaf has a negative feature and a
+    leaf_class of 0 or 1; an internal node's children come after it in its
+    own tree, so every walk from a root ends at a leaf.  The arrays are
+    checked once, here, and then made read-only.
+    """
 
     device_type: str
-    trees: list[DecisionTree]
+    feature: np.ndarray
+    threshold: np.ndarray
+    left: np.ndarray
+    right: np.ndarray
+    leaf_class: np.ndarray
+    tree_nodes: np.ndarray
     n_features: int
     training_meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        if not self.trees:
-            raise ValueError(f"{self.device_type!r}: a forest needs a tree")
-        if any(tree.feature.max() >= self.n_features for tree in self.trees):
+        for name in _FOREST_ARRAYS:
+            arr = np.array(getattr(self, name),
+                           dtype=np.float64 if name == "threshold" else np.int64)
+            if arr.ndim != 1:
+                raise ValueError(f"{self.device_type!r}: {name} must be a flat list")
+            arr.flags.writeable = False
+            setattr(self, name, arr)
+        n, sizes = len(self.feature), self.tree_nodes
+        if not all(len(getattr(self, name)) == n for name in NODE_ARRAYS):
+            raise ValueError(f"{self.device_type!r}: node arrays differ in length")
+        if not sizes.size or sizes.min() < 1 or sizes.sum() != n:
+            raise ValueError(f"{self.device_type!r}: tree_nodes must be positive "
+                             f"and sum to the {n} nodes")
+        node = np.arange(n) - np.repeat(np.cumsum(sizes) - sizes, sizes)
+        size = np.repeat(sizes, sizes)
+        internal = self.feature >= 0
+        bad_child = internal & ~((node < self.left) & (self.left < size)
+                                 & (node < self.right) & (self.right < size))
+        bad_leaf = ~internal & (self.leaf_class != 0) & (self.leaf_class != 1)
+        for bad, what in ((bad_child, "children must come after it in its tree"),
+                          (bad_leaf, "a leaf's class must be 0 or 1")):
+            if bad.any():
+                i = int(np.argmax(bad))
+                raise ValueError(f"{self.device_type!r}: node {i}: {what}")
+        if self.feature.max() >= self.n_features:
             raise ValueError(f"{self.device_type!r}: a split feature is outside "
                              f"the {self.n_features} inputs")
 
     @property
     def n_trees(self) -> int:
-        return len(self.trees)
+        return len(self.tree_nodes)
+
+    @property
+    def trees(self) -> tuple:
+        """Per tree, a namespace of its read-only slices of the node arrays."""
+        ends = np.cumsum(self.tree_nodes).tolist()
+        return tuple(SimpleNamespace(**{name: getattr(self, name)[end - size:end]
+                                        for name in NODE_ARRAYS})
+                     for size, end in zip(self.tree_nodes.tolist(), ends))
 
     def score_many(self, X: np.ndarray) -> np.ndarray:
         """Fraction of trees voting match, per row of X."""
@@ -466,11 +459,11 @@ def train_type_classifier(device_type: str,
                         np.zeros(n_neg, dtype=np.int64)])
 
     coded = _code_columns(np.vstack([pos, pool[neg_rows]]))
-    trees = _grow_forest(coded, y, [np.random.default_rng(s) for s in seeds[1:]],
-                         max_features)
+    forest = _grow_forest(coded, y, [np.random.default_rng(s) for s in seeds[1:]],
+                          max_features)
     meta = {"n_positive": n_pos, "n_negative": n_neg, "seed": seed,
             "n_trees": params.n_trees, "max_features": max_features}
-    return TypeClassifier(device_type=device_type, trees=trees,
+    return TypeClassifier(device_type=device_type, **forest,
                           n_features=pos.shape[1], training_meta=meta)
 
 
@@ -565,13 +558,13 @@ def predict_all(registry: ClassifierRegistry, x) -> list[TypePrediction]:
 
 
 def save_model(registry: ClassifierRegistry, path) -> None:
-    """Write every classifier, trees included, as versioned JSON."""
+    """Write every classifier, node arrays included, as versioned JSON."""
     dump_versioned(path, MODEL_SCHEMA, {"classifiers": [
         {
             "device_type": clf.device_type,
             "n_features": clf.n_features,
             "training_meta": clf.training_meta,
-            "trees": [tree.to_dict() for tree in clf.trees],
+            **{name: getattr(clf, name).tolist() for name in _FOREST_ARRAYS},
         }
         for clf in registry
     ]})
@@ -580,7 +573,7 @@ def save_model(registry: ClassifierRegistry, path) -> None:
 def _parse_model(doc: dict) -> ClassifierRegistry:
     return ClassifierRegistry(
         TypeClassifier(device_type=rec["device_type"],
-                       trees=[DecisionTree.from_dict(t) for t in rec["trees"]],
+                       **{name: rec[name] for name in _FOREST_ARRAYS},
                        n_features=int(rec["n_features"]),
                        training_meta=rec.get("training_meta", {}))
         for rec in doc["classifiers"])

@@ -4,7 +4,7 @@ import pytest
 from iotfence.fingerprint import FIXED_LEN, Fingerprint, build_fingerprint
 from iotfence.harness import CorpusNoise, SyntheticCorpusSpec, generate_corpus
 from iotfence.ingest import FEATURE_NAMES, PacketFeatures
-from iotfence.typemodel import (ClassifierRegistry, DecisionTree, ForestParams,
+from iotfence.typemodel import (NODE_ARRAYS, ClassifierRegistry, ForestParams,
                                 TypeClassifier, train_registry)
 
 
@@ -45,8 +45,9 @@ def random_fingerprint(rng: np.random.Generator, mac: str = "02-00-00-00-00-01",
                              label=label)
 
 
-def random_tree(rng: np.random.Generator) -> DecisionTree:
-    feature, threshold, left, right, leaf_class, votes = [], [], [], [], [], []
+def random_tree(rng: np.random.Generator) -> dict:
+    """A random tree of depth at most 3, as a dict of node lists."""
+    feature, threshold, left, right, leaf_class = [], [], [], [], []
 
     def grow(depth: int) -> int:
         idx = len(feature)
@@ -55,10 +56,8 @@ def random_tree(rng: np.random.Generator) -> DecisionTree:
         left.append(-1)
         right.append(-1)
         leaf_class.append(-1)
-        votes.append(0)
         if depth >= 3 or rng.random() < 0.4:
             leaf_class[idx] = int(rng.integers(0, 2))
-            votes[idx] = int(rng.integers(1, 40))
         else:
             feature[idx] = int(rng.integers(0, FIXED_LEN))
             threshold[idx] = float(rng.random() * 8)
@@ -67,15 +66,31 @@ def random_tree(rng: np.random.Generator) -> DecisionTree:
         return idx
 
     grow(0)
-    return DecisionTree(feature, threshold, left, right, leaf_class, votes)
+    return dict(feature=feature, threshold=threshold, left=left, right=right,
+                leaf_class=leaf_class)
+
+
+def make_classifier(device_type: str, trees: list, n_features: int,
+                    training_meta: dict | None = None) -> TypeClassifier:
+    """A classifier whose forest is the given tree dicts, in order."""
+    return TypeClassifier(
+        device_type,
+        **{name: [x for tree in trees for x in tree[name]] for name in NODE_ARRAYS},
+        tree_nodes=[len(tree["feature"]) for tree in trees],
+        n_features=n_features, training_meta=training_meta or {})
+
+
+def tree_dict(tree) -> dict:
+    """One of TypeClassifier.trees as a dict of node lists."""
+    return {name: getattr(tree, name).tolist() for name in NODE_ARRAYS}
 
 
 def random_registry(rng: np.random.Generator) -> ClassifierRegistry:
     registry = ClassifierRegistry()
     for t in range(int(rng.integers(1, 4))):
-        registry.add(TypeClassifier(
-            device_type=f"type{t:02d}",
-            trees=[random_tree(rng) for _ in range(int(rng.integers(1, 4)))],
+        registry.add(make_classifier(
+            f"type{t:02d}",
+            [random_tree(rng) for _ in range(int(rng.integers(1, 4)))],
             n_features=FIXED_LEN,
             training_meta={"seed": int(rng.integers(0, 999)),
                            "n_positive": int(rng.integers(2, 30))}))

@@ -305,8 +305,8 @@ def ref_grow_tree(X, y, rng, max_features: int) -> dict:
 
     Each impure node draws its feature subset from rng, sorts its rows on
     every sampled feature and takes the first minimum of the weighted Gini
-    over (split position, sampled feature).  Returns the node lists as a
-    dict, in DecisionTree.to_dict's layout.
+    over (split position, sampled feature).  Returns the tree as a dict of
+    node lists, laid out like one tree of TypeClassifier's node arrays.
     """
     import numpy as np
 
@@ -318,7 +318,6 @@ def ref_grow_tree(X, y, rng, max_features: int) -> dict:
     left: list[int] = []
     right: list[int] = []
     leaf_class: list[int] = []
-    votes: list[int] = []
 
     def new_node() -> int:
         feature.append(-1)
@@ -326,7 +325,6 @@ def ref_grow_tree(X, y, rng, max_features: int) -> dict:
         left.append(-1)
         right.append(-1)
         leaf_class.append(-1)
-        votes.append(0)
         return len(feature) - 1
 
     bootstrap = rng.integers(0, n_rows, n_rows)
@@ -338,7 +336,6 @@ def ref_grow_tree(X, y, rng, max_features: int) -> dict:
         n_pos = int(ys.sum())
         if n_pos == 0 or n_pos == n:
             leaf_class[node] = 1 if n_pos else 0
-            votes[node] = n
             continue
 
         feats = rng.choice(n_feats, size=max_features, replace=False)
@@ -363,7 +360,6 @@ def ref_grow_tree(X, y, rng, max_features: int) -> dict:
         if not np.isfinite(weighted[i, j]):
             # every sampled feature is constant here; settle for majority
             leaf_class[node] = int(2 * n_pos >= n)
-            votes[node] = n
             continue
 
         feat = int(feats[j])
@@ -379,7 +375,7 @@ def ref_grow_tree(X, y, rng, max_features: int) -> dict:
         stack.append((left_id, rows[go_left]))
 
     return {"feature": feature, "threshold": threshold, "left": left,
-            "right": right, "leaf_class": leaf_class, "votes": votes}
+            "right": right, "leaf_class": leaf_class}
 
 
 # rule-cache model ---------------------------------------------------------------

@@ -24,8 +24,8 @@ from iotfence.fingerprint import (FIXED_LEN, load_fingerprints,
 from iotfence.harness import (CorpusNoise, SyntheticCorpusSpec, cross_validate,
                               generate_corpus, shuffle_labels)
 from iotfence.identify import VulnerabilityRegistry, assign_isolation, identify
-from iotfence.typemodel import (ClassifierRegistry, ForestParams, load_model,
-                                save_model, train_registry)
+from iotfence.typemodel import (NODE_ARRAYS, ClassifierRegistry, ForestParams,
+                                load_model, save_model, train_registry)
 
 from conftest import make_features, random_fingerprint, random_registry
 from oracles import dl_oracle
@@ -284,11 +284,10 @@ def _registries_equal(a: ClassifierRegistry, b: ClassifierRegistry) -> bool:
     for t in a.types():
         ca, cb = a.get(t), b.get(t)
         if (ca.n_features != cb.n_features
-                or ca.training_meta != cb.training_meta
-                or len(ca.trees) != len(cb.trees)):
+                or ca.training_meta != cb.training_meta):
             return False
-        if any(ta.to_dict() != tb.to_dict()
-               for ta, tb in zip(ca.trees, cb.trees)):
+        if any(getattr(ca, name).tolist() != getattr(cb, name).tolist()
+               for name in NODE_ARRAYS + ("tree_nodes",)):
             return False
     return True
 

@@ -77,3 +77,24 @@ def test_fit_registry_trains_each_type_through_the_module_global(monkeypatch,
     registry = typemodel.fit_registry(X, y, types, typemodel.ForestParams(n_trees=2),
                                       np.random.SeedSequence(1))
     assert trained == types == registry.types()
+
+
+def test_trace_counts_the_trees_and_nodes_of_each_trained_classifier(tracing,
+                                                                    small_corpus):
+    """The trace reads TypeClassifier.trees after train_type_classifier."""
+    import numpy as np
+    from iotfence import typemodel
+    from iotfence.fingerprint import to_fixed
+
+    X = np.array([to_fixed(fp).values for fp in small_corpus], dtype=np.float64)
+    is_first = np.array([fp.label == small_corpus[0].label for fp in small_corpus])
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        clf = typemodel.train_type_classifier(
+            "cam", X[is_first], X[~is_first], typemodel.ForestParams(n_trees=3), seed=1)
+    finally:
+        tracer.uninstall()
+    assert tracer.counters["typemodel.classifiers_trained"] == 1
+    assert tracer.counters["typemodel.trees"] == clf.n_trees == 3
+    assert tracer.counters["typemodel.tree_nodes"] == len(clf.feature) > 3

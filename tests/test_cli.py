@@ -336,13 +336,38 @@ def test_data_errors_exit_2(tmp_path, workdir):
                      "--out", str(tmp_path / "m.json")]) == 2
 
 
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+def test_output_errors_exit_2(workdir, capsys):
+    # every write to /dev/full fails with ENOSPC
+    assert cli_main(["train", "--fingerprints", str(workdir / "db.json"),
+                     "--out", "/dev/full", "--trees", "2"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("iotfence: error: ") and err.count("\n") == 1
+    assert "No space left on device" in err
+
+
+def test_identify_rejects_a_per_tree_model(workdir, tmp_path, capsys):
+    # the iotfence-typemodel/1 layout, one record per tree, is not read
+    model = tmp_path / "model.json"
+    model.write_text(json.dumps({"schema": "iotfence-typemodel/1", "classifiers": [
+        {"device_type": "x", "n_features": 1, "trees": [
+            {"feature": [-1], "threshold": [0.0], "left": [-1], "right": [-1],
+             "leaf_class": [1], "votes": [1]}]}]}))
+    pcap = tmp_path / "new-device.pcap"
+    oracles.write_pcap(pcap, _dhcp_frames("02-AA-00-00-00-99", 50))
+    assert cli_main(["identify", "--pcap", str(pcap), "--model", str(model),
+                     "--fingerprints", str(workdir / "db.json")]) == 2
+    assert "found 'iotfence-typemodel/1'" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("field,value", [("left", 0), ("feature", 999)])
 def test_identify_rejects_corrupt_model(workdir, tmp_path, capsys, field, value):
     # a root that is its own child would loop forever; a split on input 999
     # of 276 would index past the fingerprint
     doc = json.loads((workdir / "model.json").read_text())
-    tree = next(t for t in doc["classifiers"][0]["trees"] if t["feature"][0] >= 0)
-    tree[field][0] = value
+    rec = doc["classifiers"][0]
+    assert rec["feature"][0] >= 0
+    rec[field][0] = value
     model = tmp_path / "model.json"
     model.write_text(json.dumps(doc))
     pcap = tmp_path / "new-device.pcap"

@@ -11,7 +11,7 @@ from iotfence.errors import (CorruptFile, DimensionMismatch, EmptyRegistry,
 from iotfence.fingerprint import FIXED_LEN, to_fixed
 from iotfence.harness import (CorpusNoise, SyntheticCorpusSpec, generate_corpus,
                               shuffle_labels)
-from iotfence.typemodel import (ClassifierRegistry, DecisionTree, ForestParams,
+from iotfence.typemodel import (ClassifierRegistry, ForestParams,
                                 MATCH_THRESHOLD, NEGATIVES_PER_POSITIVE,
                                 TypeClassifier, _code_columns, _grow_forest,
                                 fixed_matrix, load_model, predict_all,
@@ -19,7 +19,7 @@ from iotfence.typemodel import (ClassifierRegistry, DecisionTree, ForestParams,
                                 train_registry)
 
 import oracles
-from conftest import random_registry
+from conftest import make_classifier, random_registry, tree_dict
 
 
 def _separable(rng, n_pos=6, n_pool=80, width=20, gap=10.0):
@@ -73,9 +73,11 @@ def _assert_grows_like_reference(X, y, max_features, seeds):
     X, y = np.asarray(X, dtype=np.float64), np.asarray(y)
     ours = [np.random.default_rng(s) for s in seeds]
     theirs = [np.random.default_rng(s) for s in seeds]
-    trees = _grow_forest(_code_columns(X), y, ours, max_features)
+    forest = _grow_forest(_code_columns(X), y, ours, max_features)
+    trees = TypeClassifier("t", **forest, n_features=X.shape[1]).trees
+    assert len(trees) == len(seeds)
     for tree, rng, mine in zip(trees, theirs, ours):
-        assert tree.to_dict() == oracles.ref_grow_tree(X, y, rng, max_features)
+        assert tree_dict(tree) == oracles.ref_grow_tree(X, y, rng, max_features)
         assert rng.bit_generator.state == mine.bit_generator.state
     return trees
 
@@ -153,9 +155,10 @@ def test_column_codes_index_sorted_distinct_values():
             assert (codes[f] == 2 * (first[f] + index)).all()
 
 
-# sha256 of save_model for the store below, written by the node-at-a-time
-# grower that tests/oracles.py keeps as ref_grow_tree
-PINNED_MODEL_SHA256 = "02320d98a183efcdaf58607e28d6ad5529ee0a381f0900812d70d5f48e2715d2"
+# sha256 of save_model for the store below: the trees of the node-at-a-time
+# grower that tests/oracles.py keeps as ref_grow_tree, concatenated into the
+# iotfence-typemodel/2 layout
+PINNED_MODEL_SHA256 = "b91d5540df6257d7cd483e4c6dad0f9da2978161afab1802522f9db1ba05bc09"
 
 
 def test_model_bytes_are_pinned(tmp_path):
@@ -171,7 +174,7 @@ def test_model_bytes_are_pinned(tmp_path):
 
 def _reference_scores(registry: ClassifierRegistry, X: np.ndarray) -> list:
     """Per row, each classifier's score from the one-tree-at-a-time oracle."""
-    return [[oracles.ref_forest_score([t.to_dict() for t in clf.trees], list(row))
+    return [[oracles.ref_forest_score([tree_dict(t) for t in clf.trees], list(row))
              for clf in registry] for row in X]
 
 
@@ -194,19 +197,25 @@ def test_batch_scores_agree_with_single_rows():
     _assert_packed_matches_reference(ClassifierRegistry([clf]), X)
 
 
+# x0 <= 5 -> 0, else 1
+_SPLIT = dict(feature=[0, -1, -1], threshold=[5.0, 0.0, 0.0], left=[1, -1, -1],
+              right=[2, -1, -1], leaf_class=[-1, 0, 1])
+
+
+def _stump(label: int) -> dict:
+    return dict(feature=[-1], threshold=[0.0], left=[-1], right=[-1],
+                leaf_class=[label])
+
+
 def test_packed_walk_matches_reference_on_hand_built_trees():
-    split = DecisionTree(feature=[0, -1, -1], threshold=[5.0, 0.0, 0.0],
-                         left=[1, -1, -1], right=[2, -1, -1],
-                         leaf_class=[-1, 0, 1], votes=[0, 3, 2])
     # deeper on the right: x1 <= 2 -> 1, else x0 <= 1 -> 0, else 1
-    chain = DecisionTree(feature=[1, -1, 0, -1, -1],
-                         threshold=[2.0, 0.0, 1.0, 0.0, 0.0],
-                         left=[1, -1, 3, -1, -1], right=[2, -1, 4, -1, -1],
-                         leaf_class=[-1, 1, -1, 0, 1], votes=[0, 1, 0, 1, 1])
+    chain = dict(feature=[1, -1, 0, -1, -1], threshold=[2.0, 0.0, 1.0, 0.0, 0.0],
+                 left=[1, -1, 3, -1, -1], right=[2, -1, 4, -1, -1],
+                 leaf_class=[-1, 1, -1, 0, 1])
     registry = ClassifierRegistry([
-        TypeClassifier("a", [split, chain, _stump(1)], n_features=2),
-        TypeClassifier("b", [_stump(0)], n_features=2),
-        TypeClassifier("c", [chain, chain], n_features=2)])
+        make_classifier("a", [_SPLIT, chain, _stump(1)], n_features=2),
+        make_classifier("b", [_stump(0)], n_features=2),
+        make_classifier("c", [chain, chain], n_features=2)])
     X = np.array([[5.0, 2.0], [5.1, 2.0], [4.0, 3.0], [1.0, 2.1],
                   [1.1, 9.0], [-1.0, -1.0]])
     _assert_packed_matches_reference(registry, X)
@@ -235,7 +244,7 @@ def test_packed_walk_matches_reference_on_deep_trees(small_corpus):
     _assert_packed_matches_reference(registry, X)
 
 
-def _depth(tree: DecisionTree, node: int = 0) -> int:
+def _depth(tree, node: int = 0) -> int:
     if tree.feature[node] < 0:
         return 0
     return 1 + max(_depth(tree, tree.left[node]), _depth(tree, tree.right[node]))
@@ -250,67 +259,83 @@ def test_trees_grow_to_purity():
         assert np.all(tree.leaf_class[internal] == -1)
         leaves = ~internal
         assert np.all(np.isin(tree.leaf_class[leaves], (0, 1)))
-        assert np.all(tree.votes[leaves] > 0)
         # children of internal nodes point at real nodes
         n = len(tree.feature)
         assert np.all(tree.left[internal] >= 0) and np.all(tree.left < n)
         assert np.all(tree.right[internal] >= 0) and np.all(tree.right < n)
 
 
-def _stump(label: int) -> DecisionTree:
-    return DecisionTree(feature=[-1], threshold=[0.0], left=[-1], right=[-1],
-                        leaf_class=[label], votes=[1])
-
-
 def test_threshold_tie_counts_as_match():
-    clf = TypeClassifier(device_type="cam", trees=[_stump(1), _stump(0)],
-                         n_features=4)
+    clf = make_classifier("cam", [_stump(1), _stump(0)], n_features=4)
     [pred] = predict_all(ClassifierRegistry([clf]), [0.0, 0.0, 0.0, 0.0])
     assert pred.score == MATCH_THRESHOLD
     assert pred.match is True
 
 
 def test_hand_built_tree_walks_both_branches():
-    tree = DecisionTree(feature=[0, -1, -1], threshold=[5.0, 0.0, 0.0],
-                        left=[1, -1, -1], right=[2, -1, -1],
-                        leaf_class=[-1, 0, 1], votes=[0, 3, 2])
-    clf = TypeClassifier(device_type="cam", trees=[tree], n_features=1)
+    clf = make_classifier("cam", [_SPLIT], n_features=1)
     assert clf.score_many(np.array([[5.0]])).tolist() == [0.0]  # boundary goes left
     assert clf.score_many(np.array([[5.1]])).tolist() == [1.0]
     assert clf.score_many(np.array([[4.0], [6.0]])).tolist() == [0.0, 1.0]
-    with pytest.raises(ValueError):
-        DecisionTree(feature=[0], threshold=[0.0], left=[1], right=[2],
-                     leaf_class=[-1], votes=[0, 0])
+    assert [tree_dict(t) for t in clf.trees] == [_SPLIT]
+    with pytest.raises(ValueError):  # the node arrays are read-only
+        clf.threshold[0] = 9.0
 
 
 def test_malformed_trees_are_rejected():
-    good = dict(feature=[0, -1, -1], threshold=[5.0, 0.0, 0.0], left=[1, -1, -1],
-                right=[2, -1, -1], leaf_class=[-1, 0, 1], votes=[0, 3, 2])
-    DecisionTree(**good)
-    for field, value in [("left", [0, -1, -1]),     # root is its own child
-                         ("right", [0, -1, -1]),
-                         ("right", [3, -1, -1]),    # child outside the tree
-                         ("left", [-1, -1, -1]),
-                         ("leaf_class", [-1, 0, 2]),
-                         ("feature", [])]:
+    # two copies of _SPLIT; children are numbered within their own tree
+    good = {name: value * 2 for name, value in _SPLIT.items()}
+    good["tree_nodes"] = [3, 3]
+    assert TypeClassifier("cam", **good, n_features=1).n_trees == 2
+    for field, value in [
+            ("left", [0, -1, -1, 1, -1, -1]),    # a root that is its own child
+            ("right", [2, -1, -1, 0, -1, -1]),
+            ("right", [3, -1, -1, 2, -1, -1]),   # a child in the next tree
+            ("left", [-1, -1, -1, 1, -1, -1]),   # a split with no left child
+            ("tree_nodes", [6]),                 # node 3's children come before it
+            ("tree_nodes", [2, 4]),              # node 2 is outside the first tree
+            ("leaf_class", [-1, 0, 1, -1, 0, 2]),
+            ("leaf_class", [-1, 0, 1, -1, 0, -1]),
+            ("threshold", [5.0, 0.0, 0.0, 5.0, 0.0]),   # unequal lengths
+            ("feature", [0, -1, -1, 0, -1, -1, -1]),
+            ("feature", [[0, -1, -1, 0, -1, -1]]),      # not flat
+            ("tree_nodes", [3, 0, 3]),                  # an empty tree
+            ("tree_nodes", [3, 2]),                     # counts sum short
+            ("tree_nodes", [3, 4])]:
         with pytest.raises(ValueError):
-            DecisionTree(**{**good, field: value})
+            TypeClassifier("cam", **{**good, field: value}, n_features=1)
     with pytest.raises(ValueError):  # a split on an input the forest lacks
-        TypeClassifier("cam", [DecisionTree(**good)], n_features=0)
-    with pytest.raises(ValueError):
-        TypeClassifier("cam", [], n_features=1)
+        TypeClassifier("cam", **good, n_features=0)
+    with pytest.raises(ValueError):  # no trees
+        make_classifier("cam", [], n_features=1)
 
 
 def test_load_model_rejects_malformed_trees(tmp_path, small_registry):
     path = tmp_path / "model.json"
     save_model(small_registry, path)
     good = json.loads(path.read_text())
-    tree = good["classifiers"][0]["trees"][0]
-    assert tree["feature"][0] >= 0
-    for field, value in [("left", 0), ("feature", 999), ("leaf_class", 2)]:
+    rec = good["classifiers"][0]
+    roots = np.cumsum([0] + rec["tree_nodes"][:-1]).tolist()
+    second = next(r for r in roots[1:] if rec["feature"][r] >= 0)
+    for field, node, value in [
+            ("left", 0, 0),                        # a root that is its own child
+            ("right", second, 0),                  # a later root its own child
+            ("right", 0, rec["tree_nodes"][0]),    # a child in the next tree
+            ("feature", 0, 999),                   # an input the model lacks
+            ("leaf_class", rec["feature"].index(-1), 2),
+            ("tree_nodes", 0, 0),                  # an empty tree
+            ("tree_nodes", 0, rec["tree_nodes"][0] + 1)]:   # counts sum past n
         doc = json.loads(json.dumps(good))
-        node = 0 if field != "leaf_class" else tree["feature"].index(-1)
-        doc["classifiers"][0]["trees"][0][field][node] = value
+        doc["classifiers"][0][field][node] = value
+        path.write_text(json.dumps(doc))
+        with pytest.raises(CorruptFile):
+            load_model(path)
+    for edit in [{"threshold": rec["threshold"][:-1]},        # unequal lengths
+                 {"tree_nodes": rec["tree_nodes"] + [1]},
+                 {"feature": [], "threshold": [], "left": [], "right": [],
+                  "leaf_class": [], "tree_nodes": []}]:      # no trees
+        doc = json.loads(json.dumps(good))
+        doc["classifiers"][0].update(edit)
         path.write_text(json.dumps(doc))
         with pytest.raises(CorruptFile):
             load_model(path)
@@ -357,10 +382,10 @@ def test_registry_identifies_training_fingerprints(small_corpus, small_registry)
 
 
 def test_registry_add_repacks():
-    registry = ClassifierRegistry([TypeClassifier("b", [_stump(1)], n_features=1)])
+    registry = ClassifierRegistry([make_classifier("b", [_stump(1)], n_features=1)])
     assert [p.score for p in predict_all(registry, [0.0])] == [1.0]
-    registry.add(TypeClassifier("a", [_stump(0)], n_features=1))
-    registry.add(TypeClassifier("b", [_stump(0), _stump(1)], n_features=1))
+    registry.add(make_classifier("a", [_stump(0)], n_features=1))
+    registry.add(make_classifier("b", [_stump(0), _stump(1)], n_features=1))
     assert [(p.device_type, p.score) for p in predict_all(registry, [0.0])] == \
         [("a", 0.0), ("b", 0.5)]
 
@@ -391,7 +416,7 @@ def test_model_round_trip(tmp_path, small_registry):
         a, b = small_registry.get(t), loaded.get(t)
         assert a.training_meta == b.training_meta
         assert a.score_many(X).tolist() == b.score_many(X).tolist()
-        assert [t1.to_dict() for t1 in a.trees] == [t2.to_dict() for t2 in b.trees]
+        assert [tree_dict(t1) for t1 in a.trees] == [tree_dict(t2) for t2 in b.trees]
 
 
 def test_load_model_rejects_bad_files(tmp_path):
@@ -403,9 +428,14 @@ def test_load_model_rejects_bad_files(tmp_path):
                                 "classifiers": []}))
     with pytest.raises(VersionMismatch):
         load_model(path)
-    path.write_text(json.dumps({"schema": "iotfence-typemodel/1",
+    path.write_text(json.dumps({"schema": "iotfence-typemodel/2",
                                 "classifiers": [{"device_type": "x"}]}))
     with pytest.raises(CorruptFile):
+        load_model(path)
+    # a model of the per-tree format must be retrained, not read
+    path.write_text(json.dumps({"schema": "iotfence-typemodel/1", "classifiers": [
+        {"device_type": "x", "n_features": 1, "trees": [_stump(1)]}]}))
+    with pytest.raises(VersionMismatch):
         load_model(path)
 
 
