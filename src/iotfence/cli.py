@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 import numpy as np
@@ -26,8 +25,6 @@ from .identify import VulnerabilityRegistry, identify_capture
 from .ingest import extract_sessions, read_pcap, write_features_csv
 from .typemodel import ForestParams, load_model, save_model, train_registry
 
-SEED_ENV = "IOTFENCE_SEED"
-
 _SESSION_KEYS = ("idle_timeout", "rate_window", "rate_drop_factor", "max_packets")
 
 
@@ -37,19 +34,6 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message):
         self.print_usage(sys.stderr)
         self.exit(1, f"{self.prog}: error: {message}\n")
-
-
-def _resolve_seed(args_seed: int | None) -> int | None:
-    """Explicit --seed wins; otherwise the environment may supply one."""
-    if args_seed is not None:
-        return args_seed
-    raw = os.environ.get(SEED_ENV)
-    if raw is None:
-        return None
-    try:
-        return int(raw)
-    except ValueError:
-        raise CorruptFile(f"{SEED_ENV} must be an integer, got {raw!r}") from None
 
 
 def _load_session_config(path) -> SetupSessionConfig:
@@ -75,21 +59,9 @@ def _load_session_config(path) -> SetupSessionConfig:
         raise CorruptFile(f"{path}: {exc}") from exc
 
 
-def _load_corpus_spec(path) -> SyntheticCorpusSpec:
-    try:
-        with open(path) as fh:
-            doc = json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise CorruptFile(f"corpus spec is not valid JSON: {exc}") from exc
-    try:
-        noise = CorpusNoise(**doc.pop("noise", {}))
-        pairs = tuple(tuple(p) for p in doc.pop("duplicated_type_pairs", ()))
-        return SyntheticCorpusSpec(noise=noise, duplicated_type_pairs=pairs, **doc)
-    except (TypeError, ValueError) as exc:
-        raise CorruptFile(f"corpus spec malformed: {exc}") from exc
-
-
 def _cmd_extract(args) -> int:
+    if not args.fingerprints_out and (args.label or args.fixed_csv or args.session_config):
+        args.usage_error("--label, --fixed-csv and --session-config need --fingerprints-out")
     config = _load_session_config(args.session_config) if args.session_config else None
     sessions = extract_sessions(read_pcap(args.pcap))
     write_features_csv(sessions, args.out)
@@ -119,10 +91,9 @@ def _cmd_extract(args) -> int:
 
 
 def _cmd_train(args) -> int:
-    seed = _resolve_seed(args.seed)
     db = load_fingerprints(args.fingerprints)
     params = ForestParams(n_trees=args.trees)
-    registry = train_registry(db, params, seed=seed if seed is not None else 0)
+    registry = train_registry(db, params, seed=args.seed)
     save_model(registry, args.out)
     print(f"trained {len(registry)} type classifiers "
           f"({params.n_trees} trees each) -> {args.out}")
@@ -130,13 +101,12 @@ def _cmd_train(args) -> int:
 
 
 def _cmd_identify(args) -> int:
-    seed = _resolve_seed(args.seed)
     config = _load_session_config(args.session_config) if args.session_config else None
     registry = load_model(args.model)
     store = load_fingerprints(args.fingerprints)
     vulns = (VulnerabilityRegistry.load(args.vulns) if args.vulns
              else VulnerabilityRegistry())
-    rng = np.random.default_rng(seed) if seed is not None else None
+    rng = np.random.default_rng(args.seed) if args.seed is not None else None
     results = identify_capture(args.pcap, registry, store, vulns, config,
                                refs_per_type=args.refs_per_type, rng=rng)
 
@@ -166,13 +136,11 @@ def _cmd_identify(args) -> int:
 
 
 def _cmd_evaluate(args) -> int:
-    seed = _resolve_seed(args.seed)
-    seed = seed if seed is not None else 0
     db = load_fingerprints(args.fingerprints)
     if args.shuffle_labels:
-        db = shuffle_labels(db, seed=seed)
+        db = shuffle_labels(db, seed=args.seed)
     report = cross_validate(db, folds=args.folds, repeats=args.repeats,
-                            seed=seed, params=ForestParams(n_trees=args.trees),
+                            seed=args.seed, params=ForestParams(n_trees=args.trees),
                             refs_per_type=args.refs_per_type)
     text = report.to_json(include_timing=args.timing)
     if args.out:
@@ -189,32 +157,23 @@ def _cmd_evaluate(args) -> int:
 
 
 def _cmd_gen_corpus(args) -> int:
-    seed = _resolve_seed(args.seed)
-    if args.spec:
-        spec = _load_corpus_spec(args.spec)
-    else:
-        pairs = []
-        for raw in args.duplicate_pair or ():
-            try:
-                a, b = (int(x) for x in raw.split(","))
-            except ValueError:
-                raise CorruptFile(f"--duplicate-pair wants i,j: got {raw!r}") from None
-            pairs.append((a, b))
+    pairs = []
+    for raw in args.duplicate_pair or ():
         try:
-            spec = SyntheticCorpusSpec(
-                n_types=args.types,
-                fingerprints_per_type=args.per_type,
-                packets_min=args.packets_min,
-                packets_max=args.packets_max,
-                burst_min=args.burst_min,
-                burst_max=args.burst_max,
-                noise=CorpusNoise(drop_prob=args.drop_prob,
-                                  duplicate_prob=args.duplicate_prob,
-                                  size_jitter=args.size_jitter),
-                duplicated_type_pairs=tuple(pairs))
-        except ValueError as exc:
-            raise CorruptFile(str(exc)) from exc
-    corpus = generate_corpus(spec, seed=seed if seed is not None else 0)
+            a, b = (int(x) for x in raw.split(","))
+        except ValueError:
+            raise CorruptFile(f"--duplicate-pair wants i,j: got {raw!r}") from None
+        pairs.append((a, b))
+    spec = SyntheticCorpusSpec(
+        n_types=args.types,
+        fingerprints_per_type=args.per_type,
+        packets_min=args.packets_min,
+        packets_max=args.packets_max,
+        burst_min=args.burst_min,
+        burst_max=args.burst_max,
+        noise=CorpusNoise(drop_prob=args.drop_prob, size_jitter=args.size_jitter),
+        duplicated_type_pairs=tuple(pairs))
+    corpus = generate_corpus(spec, seed=args.seed)
     save_fingerprints(corpus, args.out)
     if args.fixed_csv:
         write_fixed_csv(corpus, args.fixed_csv)
@@ -256,12 +215,12 @@ def build_parser() -> _Parser:
     p.add_argument("--fixed-csv", help="export flattened fingerprints as CSV")
     p.add_argument("--label", help="type label for all fingerprints in this capture")
     p.add_argument("--session-config", help="key=value file of setup-segmentation knobs")
-    p.set_defaults(func=_cmd_extract)
+    p.set_defaults(func=_cmd_extract, usage_error=p.error)
 
     p = sub.add_parser("train", help="fit per-type classifiers from a fingerprint db")
     p.add_argument("--fingerprints", required=True)
     p.add_argument("--out", required=True, help="model JSON path")
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--trees", type=int, default=100)
     p.set_defaults(func=_cmd_train)
 
@@ -284,7 +243,7 @@ def build_parser() -> _Parser:
     p.add_argument("--fingerprints", required=True)
     p.add_argument("--folds", type=int, default=10)
     p.add_argument("--repeats", type=int, default=10)
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--trees", type=int, default=100)
     p.add_argument("--refs-per-type", type=int, default=5, choices=range(1, 6),
                    metavar="1..5")
@@ -298,7 +257,6 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("gen-corpus", help="fabricate a labeled synthetic corpus")
     p.add_argument("--out", required=True, help="fingerprint db JSON path")
-    p.add_argument("--spec", help="corpus spec JSON (overrides the flags below)")
     p.add_argument("--types", type=int, default=27)
     p.add_argument("--per-type", type=int, default=20)
     p.add_argument("--packets-min", type=int, default=12)
@@ -306,11 +264,10 @@ def build_parser() -> _Parser:
     p.add_argument("--burst-min", type=int, default=1)
     p.add_argument("--burst-max", type=int, default=2)
     p.add_argument("--drop-prob", type=float, default=0.0)
-    p.add_argument("--duplicate-prob", type=float, default=0.0)
     p.add_argument("--size-jitter", type=int, default=0)
     p.add_argument("--duplicate-pair", action="append", metavar="I,J",
                    help="make type J reuse type I's base sequence (repeatable)")
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--fixed-csv", help="export flattened fingerprints as CSV")
     p.set_defaults(func=_cmd_gen_corpus)
 

@@ -26,7 +26,7 @@ from typing import Iterable, Sequence
 
 from .errors import (CapacityExceeded, CorruptFile,
                      RestrictedWithoutPermittedIps)
-from .jsonfile import dump_versioned, load_versioned
+from .jsonfile import dump_versioned, load_versioned, str_tuple
 from .macaddr import normalize_mac
 
 RULES_SCHEMA = "iotfence-rules/1"
@@ -251,8 +251,8 @@ def _parse_rules(doc: dict) -> list[EnforcementRule]:
                 f"rule fields {sorted(rec)} do not match {sorted(RULE_FIELDS)}")
         out.append(EnforcementRule(
             id=int(rec["id"]), name=rec["name"],
-            source_mac=tuple(rec["source_mac"]),
-            permitted_ip=tuple(rec["permitted_ip"]),
+            source_mac=str_tuple(rec["source_mac"], "source_mac"),
+            permitted_ip=str_tuple(rec["permitted_ip"], "permitted_ip"),
             priority=int(rec["priority"]), hash=rec["hash"],
             level=IsolationLevel(rec["isolation"])))
     return out

@@ -55,10 +55,6 @@ class EmptyRegistry(IotfenceError):
     """Prediction requested against a registry with no classifiers."""
 
 
-class VersionMismatch(IotfenceError):
-    """Model file was written by an incompatible schema version."""
-
-
 # discrimination
 
 class BothEmpty(IotfenceError):

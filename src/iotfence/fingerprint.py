@@ -30,6 +30,7 @@ class SetupSessionConfig:
     The setup window ends at the first of: an idle gap of idle_timeout
     seconds, the packet rate over the trailing rate_window falling below
     rate_drop_factor times the session's peak rate, or max_packets packets.
+    An infinite idle_timeout or rate_window disables that cut.
     """
 
     idle_timeout: float = 30.0
@@ -38,11 +39,12 @@ class SetupSessionConfig:
     max_packets: int = 500
 
     def __post_init__(self):
-        if self.idle_timeout <= 0 or self.rate_window <= 0:
+        # written so that NaN, which fails every comparison, is refused
+        if not (self.idle_timeout > 0 and self.rate_window > 0):
             raise ValueError("idle_timeout and rate_window must be positive")
         if not 0 < self.rate_drop_factor < 1:
             raise ValueError("rate_drop_factor must be in (0, 1)")
-        if self.max_packets < FIXED_PACKETS:
+        if not self.max_packets >= FIXED_PACKETS:
             raise ValueError(f"max_packets must be at least {FIXED_PACKETS}")
 
 

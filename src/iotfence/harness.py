@@ -3,9 +3,9 @@
 The corpus generator fabricates per-type base packet sequences from a small
 library of plausible setup-traffic templates (ARP, DHCP, DNS, NTP, HTTP ...)
 and then derives each fingerprint from its type's base under configurable
-noise: packet drops, packet duplication, frame-size jitter.  Each logical
-datagram is emitted as a short burst of identical frames, the way DHCP
-discovery and mDNS announcements repeat on the wire; duplicate collapsing
+noise: packet drops and frame-size jitter.  Each logical datagram is
+emitted as a short burst of identical frames, the way DHCP discovery and
+mDNS announcements repeat on the wire; duplicate collapsing
 folds a burst into a single fingerprint column, so losing one frame of a
 burst never shifts the columns that follow it.  Destination-IP counters are
 replayed over the surviving packets so every fingerprint keeps the dense
@@ -79,14 +79,11 @@ _TYPE_SIZE_CYCLE = 32
 @dataclass(frozen=True)
 class CorpusNoise:
     drop_prob: float = 0.0
-    duplicate_prob: float = 0.0
     size_jitter: int = 0
 
     def __post_init__(self):
         if not 0.0 <= self.drop_prob < 1.0:
             raise ValueError("drop_prob must be in [0, 1)")
-        if not 0.0 <= self.duplicate_prob <= 1.0:
-            raise ValueError("duplicate_prob must be in [0, 1]")
         if self.size_jitter < 0:
             raise ValueError("size_jitter must be non-negative")
 
@@ -192,12 +189,6 @@ def _realize(base: tuple[_BasePacket, ...], mac: str, label: str,
             counter = counters[slot]
         feats = _make_features(ti, pad, alert, size, counter)
         cols.extend([feats] * copies)
-        if noise.duplicate_prob:
-            # extra copies land next to their original, so collapsing
-            # removes them again; the knob exercises exactly that path
-            for _ in range(copies):
-                if rng.random() < noise.duplicate_prob:
-                    cols.append(feats)
     if not cols:
         ti, pad, alert, size, slot, _ = base[0]
         cols = [_make_features(ti, pad, alert, size, 1 if slot else 0)]

@@ -22,7 +22,7 @@ from .errors import RestrictedWithoutPermittedIps
 from .fingerprint import (Fingerprint, SetupSessionConfig, SetupWindow,
                           build_fingerprint, to_fixed)
 from .ingest import extract_sessions, read_pcap
-from .jsonfile import dump_versioned, load_versioned
+from .jsonfile import dump_versioned, load_versioned, str_tuple
 from .typemodel import ClassifierRegistry, TypePrediction, predict_all
 
 VULNS_SCHEMA = "iotfence-vulns/1"
@@ -160,8 +160,9 @@ class VulnerabilityRegistry:
     def load(cls, path) -> "VulnerabilityRegistry":
         def parse(doc: dict) -> "VulnerabilityRegistry":
             return cls({
-                t: VulnerabilityEntry(level=IsolationLevel(rec["isolation"]),
-                                      permitted_ip=tuple(rec["permitted_ip"]))
+                t: VulnerabilityEntry(
+                    level=IsolationLevel(rec["isolation"]),
+                    permitted_ip=str_tuple(rec["permitted_ip"], "permitted_ip"))
                 for t, rec in doc["types"].items()
             })
         return load_versioned(path, VULNS_SCHEMA, "vulnerability registry", parse)

@@ -21,8 +21,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import (DimensionMismatch, EmptyRegistry, InsufficientData,
-                     VersionMismatch)
+from .errors import DimensionMismatch, EmptyRegistry, InsufficientData
 from .fingerprint import Fingerprint, FixedFingerprint, to_fixed
 from .jsonfile import dump_versioned, load_versioned
 
@@ -36,16 +35,14 @@ _FOREST_ARRAYS = NODE_ARRAYS + ("tree_nodes",)
 
 @dataclass(frozen=True)
 class ForestParams:
-    """Forest shape; max_features=None means ceil(sqrt(feature count))."""
+    """Forest shape: n_trees per forest, each node splitting on the best of
+    ceil(sqrt(feature count)) features drawn at random."""
 
     n_trees: int = 100
-    max_features: int | None = None
 
     def __post_init__(self):
         if self.n_trees < 1:
             raise ValueError("n_trees must be at least 1")
-        if self.max_features is not None and self.max_features < 1:
-            raise ValueError("max_features must be at least 1")
 
 
 def fixed_matrix(rows: np.ndarray) -> np.ndarray:
@@ -133,10 +130,11 @@ def _code_columns(X: np.ndarray):
 
 
 def _grow_forest(coded, y: np.ndarray, rngs: Sequence[np.random.Generator],
-                 max_features: int) -> dict:
+                 n_drawn: int) -> dict:
     """Fit one CART tree per generator, each on its own bootstrap of (X, y),
-    where coded is _code_columns(X); returns TypeClassifier's node arrays
-    and tree_nodes, trees in generator order.
+    where coded is _code_columns(X), drawing n_drawn features per node;
+    returns TypeClassifier's node arrays and tree_nodes, trees in generator
+    order.
 
     The trees grow in lockstep: each step pops every tree's next impure node
     in preorder and draws its feature subset from that tree's generator, so
@@ -144,7 +142,7 @@ def _grow_forest(coded, y: np.ndarray, rngs: Sequence[np.random.Generator],
     are then scored in one pass each, on exact per-value histograms.
     """
     n_rows, n_feats = len(y), len(coded[0])
-    m = min(max_features, n_feats)
+    m = min(n_drawn, n_feats)
     n_values = np.diff(coded[2])
     growing = []
     for rng in rngs:
@@ -451,7 +449,7 @@ def train_type_classifier(device_type: str,
         raise DimensionMismatch(
             f"positives have {pos.shape[1]} features, pool has {pool.shape[1]}")
 
-    max_features = params.max_features or math.ceil(math.sqrt(pos.shape[1]))
+    max_features = math.ceil(math.sqrt(pos.shape[1]))
     seeds = np.random.SeedSequence(seed).spawn(params.n_trees + 1)
     neg_rows = np.random.default_rng(seeds[0]).choice(
         pool.shape[0], size=n_neg, replace=False)
@@ -580,5 +578,4 @@ def _parse_model(doc: dict) -> ClassifierRegistry:
 
 
 def load_model(path) -> ClassifierRegistry:
-    return load_versioned(path, MODEL_SCHEMA, "model file", _parse_model,
-                          mismatch=VersionMismatch)
+    return load_versioned(path, MODEL_SCHEMA, "model file", _parse_model)

@@ -18,7 +18,7 @@ except ModuleNotFoundError:  # Python 3.10
 
 import iotfence
 from iotfence import __version__
-from iotfence.cli import SEED_ENV, cli_main
+from iotfence.cli import cli_main
 from iotfence.enforce import IsolationLevel, load_rules, make_rule, save_rules
 from iotfence.fingerprint import load_fingerprints
 
@@ -82,24 +82,16 @@ def test_evaluate_shuffled_labels_scores_low(workdir, capsys):
     assert "timing" in json.loads(capsys.readouterr().out)
 
 
-def test_gen_corpus_spec_file(workdir, tmp_path):
-    spec = tmp_path / "spec.json"
-    spec.write_text(json.dumps({
-        "n_types": 3, "fingerprints_per_type": 2,
-        "noise": {"size_jitter": 1},
-        "duplicated_type_pairs": [[0, 1]],
-    }))
+def test_gen_corpus_jitter_and_duplicate_pair_flags(tmp_path):
     out = tmp_path / "db.json"
-    assert cli_main(["gen-corpus", "--out", str(out), "--spec", str(spec),
-                     "--seed", "2"]) == 0
+    args = ["gen-corpus", "--out", str(out), "--types", "3", "--per-type", "2",
+            "--size-jitter", "1", "--seed", "2"]
+    assert cli_main(args + ["--duplicate-pair", "0,1"]) == 0
     db = load_fingerprints(out)
     assert len(db) == 6
     assert len({fp.label for fp in db}) == 3
 
-    spec.write_text(json.dumps({"n_types": 3, "bogus_knob": 1}))
-    assert cli_main(["gen-corpus", "--out", str(out), "--spec", str(spec)]) == 2
-    spec.write_text("{not json")
-    assert cli_main(["gen-corpus", "--out", str(out), "--spec", str(spec)]) == 2
+    assert cli_main(args + ["--duplicate-pair", "0,3"]) == 2
 
 
 def test_extract_features_and_fingerprints(tmp_path):
@@ -194,7 +186,7 @@ def test_extract_skips_the_fingerprint_of_a_device_whose_clock_goes_back(tmp_pat
     assert len(db[0].columns) == 14
 
 
-def test_extract_session_config(tmp_path):
+def test_extract_session_config(tmp_path, capsys):
     pcap = tmp_path / "setup.pcap"
     frames = [(10 + i, 0,
                eth(DEV_A, "FF-FF-FF-FF-FF-FF", 0x0800,
@@ -212,14 +204,13 @@ def test_extract_session_config(tmp_path):
     db = load_fingerprints(db_out)
     assert len(db) == 1 and len(db[0].columns) == 12
 
-    conf.write_text("idle_timeout = fast\n")
-    assert cli_main(["extract", "--pcap", str(pcap),
-                     "--out", str(tmp_path / "f.csv"),
-                     "--session-config", str(conf)]) == 2
-    conf.write_text("wrong_knob = 1\n")
-    assert cli_main(["extract", "--pcap", str(pcap),
-                     "--out", str(tmp_path / "f.csv"),
-                     "--session-config", str(conf)]) == 2
+    for bad in ("idle_timeout = fast", "wrong_knob = 1", "idle_timeout = nan"):
+        conf.write_text(bad + "\n")
+        assert cli_main(["extract", "--pcap", str(pcap),
+                         "--out", str(tmp_path / "f.csv"),
+                         "--fingerprints-out", str(db_out),
+                         "--session-config", str(conf)]) == 2
+        assert str(conf) in capsys.readouterr().err
 
 
 def test_identify_command(workdir, tmp_path, capsys):
@@ -312,6 +303,8 @@ def test_enforce_simulate(tmp_path, capsys):
     ["evaluate"],
     ["evaluate", "--fingerprints", "x", "--refs-per-type", "9"],
     ["enforce"],
+    # --fixed-csv only exports fingerprints that --fingerprints-out builds
+    ["extract", "--pcap", "x", "--out", "y", "--fixed-csv", "z"],
 ])
 def test_usage_errors_exit_1(argv):
     with pytest.raises(SystemExit) as err:
@@ -357,7 +350,8 @@ def test_identify_rejects_a_per_tree_model(workdir, tmp_path, capsys):
     oracles.write_pcap(pcap, _dhcp_frames("02-AA-00-00-00-99", 50))
     assert cli_main(["identify", "--pcap", str(pcap), "--model", str(model),
                      "--fingerprints", str(workdir / "db.json")]) == 2
-    assert "found 'iotfence-typemodel/1'" in capsys.readouterr().err
+    assert ("model file: expected iotfence-typemodel/2, found 'iotfence-typemodel/1'"
+            in capsys.readouterr().err)
 
 
 @pytest.mark.parametrize("field,value", [("left", 0), ("feature", 999)])
@@ -377,24 +371,16 @@ def test_identify_rejects_corrupt_model(workdir, tmp_path, capsys, field, value)
     assert "model file record malformed" in capsys.readouterr().err
 
 
-def test_seed_env_variable(tmp_path, monkeypatch):
-    by_env = tmp_path / "env.json"
-    by_flag = tmp_path / "flag.json"
-    other = tmp_path / "other.json"
-    monkeypatch.setenv(SEED_ENV, "3")
-    assert cli_main(["gen-corpus", "--out", str(by_env), "--types", "2",
-                     "--per-type", "2"]) == 0
-    assert cli_main(["gen-corpus", "--out", str(by_flag), "--types", "2",
-                     "--per-type", "2", "--seed", "3"]) == 0
-    # explicit flag wins over the environment
-    assert cli_main(["gen-corpus", "--out", str(other), "--types", "2",
-                     "--per-type", "2", "--seed", "4"]) == 0
-    assert by_env.read_bytes() == by_flag.read_bytes()
-    assert other.read_bytes() != by_env.read_bytes()
-
-    monkeypatch.setenv(SEED_ENV, "not-a-number")
-    assert cli_main(["gen-corpus", "--out", str(other), "--types", "2",
-                     "--per-type", "2"]) == 2
+def test_identify_rejects_a_model_with_a_nan_threshold(workdir, tmp_path, capsys):
+    doc = json.loads((workdir / "model.json").read_text())
+    doc["classifiers"][0]["threshold"][0] = float("nan")
+    model = tmp_path / "model.json"
+    model.write_text(json.dumps(doc))  # writes the bare token NaN
+    pcap = tmp_path / "new-device.pcap"
+    oracles.write_pcap(pcap, _dhcp_frames("02-AA-00-00-00-99", 50))
+    assert cli_main(["identify", "--pcap", str(pcap), "--model", str(model),
+                     "--fingerprints", str(workdir / "db.json")]) == 2
+    assert "model file is not valid JSON: NaN" in capsys.readouterr().err
 
 
 def test_version_flag(capsys):

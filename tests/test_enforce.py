@@ -304,6 +304,20 @@ def test_load_rules_rejects_tampering(tmp_path):
         load_rules(path)
 
 
+def test_load_rules_wants_lists_of_strings(tmp_path):
+    path = tmp_path / "rules.json"
+    save_rules(_rules(), path)
+    doc = json.loads(path.read_text())
+    rec = doc["rules"][1]
+    # a string read as a tuple is one IP per character; hash that tuple so
+    # that only the type check can refuse the record
+    rec["permitted_ip"] = LISTED
+    rec["hash"] = rule_hash(rec["source_mac"], IsolationLevel.RESTRICTED, tuple(LISTED))
+    path.write_text(json.dumps(doc))
+    with pytest.raises(CorruptFile, match="permitted_ip must be a list of strings"):
+        load_rules(path)
+
+
 def test_load_rules_schema_checks(tmp_path):
     path = tmp_path / "rules.json"
     path.write_text("junk")

@@ -108,6 +108,21 @@ def test_session_config_validation():
         SetupSessionConfig(max_packets=FIXED_PACKETS - 1)
 
 
+@pytest.mark.parametrize("field", ["idle_timeout", "rate_window",
+                                   "rate_drop_factor", "max_packets"])
+def test_session_config_refuses_nan(field):
+    with pytest.raises(ValueError):
+        SetupSessionConfig(**{field: float("nan")})
+
+
+def test_infinite_idle_timeout_and_rate_window_never_cut():
+    # a 4,000 s gap, then one packet a second after a burst at 100 per second
+    timestamps = [i * 0.01 for i in range(20)] + [4000.0 + i for i in range(5)]
+    assert len(segment_setup(_stream(timestamps))) == 20
+    config = SetupSessionConfig(idle_timeout=float("inf"), rate_window=float("inf"))
+    assert len(segment_setup(_stream(timestamps), config)) == 25
+
+
 # fingerprint building --------------------------------------------------------
 
 def test_build_collapses_consecutive_duplicates():

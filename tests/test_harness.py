@@ -17,8 +17,6 @@ def test_noise_validation():
     with pytest.raises(ValueError):
         CorpusNoise(drop_prob=-0.1)
     with pytest.raises(ValueError):
-        CorpusNoise(duplicate_prob=1.5)
-    with pytest.raises(ValueError):
         CorpusNoise(size_jitter=-1)
 
 

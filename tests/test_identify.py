@@ -137,6 +137,15 @@ def test_vulnerability_registry_rejects_bad_files(tmp_path):
         VulnerabilityRegistry.load(path)
 
 
+def test_vulnerability_registry_wants_a_list_of_ips(tmp_path):
+    # a string would otherwise load as one permitted "IP" per character
+    path = tmp_path / "vulns.json"
+    path.write_text(json.dumps({"schema": "iotfence-vulns/1", "types": {
+        "cam": {"isolation": "restricted", "permitted_ip": "10.0.0.1"}}}))
+    with pytest.raises(CorruptFile, match="permitted_ip must be a list of strings"):
+        VulnerabilityRegistry.load(path)
+
+
 # capture pipeline --------------------------------------------------------------
 
 DEV_A = "02-AA-00-00-00-01"

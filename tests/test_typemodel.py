@@ -7,10 +7,11 @@ import numpy as np
 import pytest
 
 from iotfence.errors import (CorruptFile, DimensionMismatch, EmptyRegistry,
-                             InsufficientData, VersionMismatch)
+                             InsufficientData, SchemaMismatch)
 from iotfence.fingerprint import FIXED_LEN, to_fixed
 from iotfence.harness import (CorpusNoise, SyntheticCorpusSpec, generate_corpus,
                               shuffle_labels)
+from iotfence.jsonfile import dump_versioned
 from iotfence.typemodel import (ClassifierRegistry, ForestParams,
                                 MATCH_THRESHOLD, NEGATIVES_PER_POSITIVE,
                                 TypeClassifier, _code_columns, _grow_forest,
@@ -341,6 +342,20 @@ def test_load_model_rejects_malformed_trees(tmp_path, small_registry):
             load_model(path)
 
 
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+def test_non_finite_numbers_are_neither_read_nor_written(tmp_path, small_registry,
+                                                         value):
+    path = tmp_path / "model.json"
+    save_model(small_registry, path)
+    doc = json.loads(path.read_text())
+    doc["classifiers"][0]["threshold"][0] = value
+    path.write_text(json.dumps(doc))  # as the token NaN, Infinity or -Infinity
+    with pytest.raises(CorruptFile, match="model file is not valid JSON"):
+        load_model(path)
+    with pytest.raises(ValueError):
+        dump_versioned(path, "iotfence-typemodel/2", {"threshold": value})
+
+
 def test_fixed_matrix_shapes():
     arr = fixed_matrix(np.zeros((3, 5)))
     assert arr.shape == (3, 5)
@@ -426,7 +441,7 @@ def test_load_model_rejects_bad_files(tmp_path):
         load_model(path)
     path.write_text(json.dumps({"schema": "iotfence-typemodel/999",
                                 "classifiers": []}))
-    with pytest.raises(VersionMismatch):
+    with pytest.raises(SchemaMismatch, match="model file"):
         load_model(path)
     path.write_text(json.dumps({"schema": "iotfence-typemodel/2",
                                 "classifiers": [{"device_type": "x"}]}))
@@ -435,12 +450,10 @@ def test_load_model_rejects_bad_files(tmp_path):
     # a model of the per-tree format must be retrained, not read
     path.write_text(json.dumps({"schema": "iotfence-typemodel/1", "classifiers": [
         {"device_type": "x", "n_features": 1, "trees": [_stump(1)]}]}))
-    with pytest.raises(VersionMismatch):
+    with pytest.raises(SchemaMismatch, match="model file"):
         load_model(path)
 
 
 def test_forest_params_validation():
     with pytest.raises(ValueError):
         ForestParams(n_trees=0)
-    with pytest.raises(ValueError):
-        ForestParams(max_features=0)
